@@ -130,10 +130,17 @@ def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
         )
 
 
+def _invalid(message: str) -> int:
+    """Report an invalid flag value; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return 2
+        return _invalid(f"--n must be >= 1, got {args.n}")
+    if args.budget < 1:
+        return _invalid(f"--budget must be >= 1, got {args.budget}")
     if args.s_only:
         s = sums.denominator_sum(args.n, args.variant)
         print(f"N={args.n}")
@@ -148,12 +155,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
         )
         return 3
     if args.variant != DEFAULT_VARIANT:
-        print(
-            "error: the full report describes the half-open-right grid and "
-            "already includes every variant sum; combine --variant with --s-only",
-            file=sys.stderr,
+        return _invalid(
+            "the full report describes the half-open-right grid and already "
+            "includes every variant sum; combine --variant with --s-only"
         )
-        return 2
     report = sums.sum_report(args.n)
     for key, attr in _REPORT_KEYS:
         value = getattr(report, attr)
@@ -165,17 +170,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.start < 1 or args.stop < args.start:
-        print(
-            f"error: need 1 <= --from <= --to, got {args.start}..{args.stop}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.factor is not None and args.factor <= 1:
-        print(f"error: --factor must be > 1, got {args.factor}", file=sys.stderr)
-        return 2
+        return _invalid(f"need 1 <= --from <= --to, got {args.start}..{args.stop}")
+    if args.factor is not None and not (1 < args.factor < math.inf):
+        return _invalid(f"--factor must be finite and > 1, got {args.factor}")
     if args.step < 1:
-        print(f"error: --step must be >= 1, got {args.step}", file=sys.stderr)
-        return 2
+        return _invalid(f"--step must be >= 1, got {args.step}")
+    if args.budget < 1:
+        return _invalid(f"--budget must be >= 1, got {args.budget}")
     rows = sweep_rows(
         args.start, args.stop, args.step, args.factor, args.variant, args.budget
     )
@@ -192,6 +193,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        return _invalid(f"--max-n must be >= 1, got {args.max_n}")
     results = verify.run(args.suite, args.max_n)
     failed = False
     for res in results:

@@ -5,7 +5,8 @@ The Farey sequence of order k is the ascending list of reduced fractions in
 walking that sequence: consecutive fractions a/r < b/s satisfy br - as = 1,
 r + s > k, and the next denominator after s is obtained from (k, r, s) alone.
 This module provides the walk plus the small number-theoretic helpers it
-needs (modular inverse, lattice point counting, totient summation).
+needs (modular inverse, lattice point counting, totient summation) and the
+coprime-pair block kernel behind every exact pair sum.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 
 class AdjacentPair(NamedTuple):
@@ -125,14 +128,33 @@ def totient_summatory(x: int) -> int:
     return sum(totient_sieve(x)[1:])
 
 
-def coprime_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """All ordered coprime pairs (r, s) with r*s <= n.
+def coprime_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Every ordered coprime pair (r, s) with r*s <= n, grouped by its smaller member.
 
-    These are exactly the adjacent pairs that ever show a gap >= 1/n: the pair
-    (r, s) is adjacent at orders max(r, s) <= k <= r + s - 1, which is
-    min(r, s) consecutive orders, all <= n when r*s <= n.
+    Yields (a, big) for a = 1..isqrt(n), where big is the ascending int64
+    array of the L > a with gcd(a, L) = 1 and a*L <= n.  Each ordered pair
+    other than (1, 1) is (a, L) or (L, a) of exactly one block.  These are
+    the adjacent pairs that ever show a gap >= 1/n: (r, s) is adjacent at the
+    min(r, s) orders max(r, s) <= k < r + s, all <= n when r*s <= n.
     """
-    for r in range(1, n + 1):
-        for s in range(1, n // r + 1):
-            if math.gcd(r, s) == 1:
-                yield r, s
+    for a in range(1, math.isqrt(n) + 1):
+        big = np.arange(a + 1, n // a + 1, dtype=np.int64)
+        if a > 1:
+            big = big[np.gcd(big, a) == 1]
+        yield a, big
+
+
+def block_inverses(a: int, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) with x = inv(a, L) in 1..L and y = inv(L, a) in 1..a, for each L of a block.
+
+    y is looked up in one table of inverses mod a; x then follows from the
+    identity a*x + L*y = 1 + a*L, so no inverse is computed per pair.  For a
+    block of coprime_blocks(n) every product stays <= n^2, also n*x and n*y
+    in the callers' b1 numerators, which fits int64 for n < 3*10^9.
+    """
+    table = np.array(
+        [a] + [pow(u, -1, a) if math.gcd(u, a) == 1 else 0 for u in range(1, a)],
+        dtype=np.int64,
+    )
+    y = table[big % a]
+    return (1 + a * big - big * y) // a, y

@@ -23,21 +23,27 @@ The quantities provided, all exact rationals unless stated otherwise:
 * variant_gap(n): how much S moves when the grid windows are all-open or
   all-closed instead of half-open.
 
-Single-k functions run one pass over the pairs adjacent at order k; the
-*_tables variants bucket every pair (r, s) with r s <= n into its k-range
-once, which is the O(n^(3/2)) bulk path used by reports and verification.
+Single-k functions walk the pairs adjacent at order k and serve as
+independent references.  The bulk path (per_k_tables, remainder_parts, the
+window_integral routes) takes every pair from the block kernel
+farey.coprime_blocks.  The integral is W(n) = 1 + P - Q/n with P and Q the
+sums of 1/max(r, s) and min(r, s) over the pairs; the orders at which a pair
+sees a following gap below 1/n form one suffix of its adjacency range, found
+in closed form by _first_hit; exact sums add int64 numerators per
+denominator before any big-integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Literal, NamedTuple, Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .expsums import b1_residue
-from .farey import coprime_pairs, inv_mod
+from .farey import block_inverses, coprime_blocks, inv_mod
 from .minden import Variant, grid_denominators
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
@@ -137,95 +143,154 @@ def sawtooth_gap_sum(n: int, k: int) -> Fraction:
     return total
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered coprime pair with r s <= n as int64 arrays (r, s, u), (1, 1) first.
+
+    u = inv(r, s) in 1..s, the numerator of the right fraction u/s of the pair.
+    """
+    r, s, u = ([np.ones(1, dtype=np.int64)] for _ in range(3))
+    for a, big in coprime_blocks(n):
+        small = np.full(big.size, a, dtype=np.int64)
+        r += [small, big]
+        s += [big, small]
+        u += block_inverses(a, big)
+    return tuple(np.concatenate(c) for c in (r, s, u))
+
+
+def _first_hit(n: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """First order k* at which the pair (r, s) sees a following gap below 1/n.
+
+    At order k the next denominator is t = s j - r with j = floor((k + r) / s),
+    and s t > n holds exactly when j >= j0 = floor((floor(n / s) + r) / s) + 1.
+    j grows with k, so the hitting orders are the suffix [k*, r + s - 1] of
+    the adjacency range, with k* = max(max(r, s), j0 s - r); it is empty when
+    k* >= r + s.
+    """
+    j0 = (n // s + r) // s + 1
+    return np.maximum(np.maximum(r, s), j0 * s - r)
+
+
+def _b1_numerators(n: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Numerators over 2 s of b1(n u / s), elementwise (b1_residue in int64)."""
+    e = n * u % s
+    return np.where(e != 0, 2 * e - s, 0)
+
+
+def _fraction_sums(
+    den: np.ndarray, num: np.ndarray, bucket: Optional[np.ndarray] = None, size: int = 1
+) -> list[Fraction]:
+    """out[b] = exact sum of num[i] / den[i] over the i with bucket[i] == b (all i if None).
+
+    The int64 numerators are first added per (bucket, denominator).  Each
+    bucket's terms are then added pairwise, so the operands stay balanced in
+    size, and reduced to a Fraction once.
+    """
+    width = int(den.max(initial=0)) + 1
+    keys = den if bucket is None else bucket * width + den
+    keys, where = np.unique(keys, return_inverse=True)
+    acc = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(acc, where, num)
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for key, c in zip(keys.tolist(), acc.tolist()):
+        if c:
+            b, d = divmod(key, width)
+            terms[b].append((c, d))
+    out = []
+    for parts in terms:
+        while len(parts) > 1:
+            merged = []
+            for (c1, d1), (c2, d2) in zip(parts[::2], parts[1::2]):
+                g = math.gcd(d1, d2)
+                merged.append((c1 * (d2 // g) + c2 * (d1 // g), d1 // g * d2))
+            parts = merged + parts[2 * len(merged) :]
+        out.append(Fraction(*parts[0]) if parts else Fraction(0))
+    return out
+
+
 def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """(measure_above, frac_jump_sum, sawtooth_gap_sum) for k = 0..n in one bucketed pass.
+    """(measure_above, frac_jump_sum, sawtooth_gap_sum) for k = 0..n in one pass over the pairs.
 
     Each coprime pair (r, s) with r s <= n is adjacent at the min(r, s)
-    consecutive orders k in [max(r, s), r + s - 1], so its contributions are
-    added to every bucket of that range.  Total work is O(n^(3/2)) pair-order
-    incidences.
+    consecutive orders k in [max(r, s), r + s - 1]; its gap and jump terms
+    cover that range and its sawtooth term the hitting suffix from
+    _first_hit.  Every term enters a difference array over k where its range
+    starts and leaves it where the range ends.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    nu = [Fraction(0)] * (n + 1)
-    xi = [Fraction(0)] * (n + 1)
-    sigma = [Fraction(0)] * (n + 1)
+    r, s, u = _pairs(n)
+    v = (1 + r * s - r * u) // s  # inv(s, r), from r u + s v = 1 + r s
+    first, stop = np.maximum(r, s), r + s
+    # (table, first order, denominator, numerator): the gap 1/(r s) - 1/n,
+    # the jump frac(-n u/s) - frac(n v/r) and the sawtooth b1(n u/s)
+    families = [
+        (0, first, r * s, 1),
+        (0, first, n, -1),
+        (1, first, s, -n * u % s),
+        (1, first, r, -(n * v % r)),
+        (2, _first_hit(n, r, s), 2 * s, _b1_numerators(n, s, u)),
+    ]
+    width = n + 2
+    bucket, den, num = [], [], []
+    for table, start, d, c in families:
+        start, d, c = np.broadcast_arrays(start, d, c)
+        keep = (start < stop) & (c != 0)
+        bucket += [table * width + start[keep], table * width + stop[keep]]
+        den += [d[keep]] * 2
+        num += [c[keep], -c[keep]]
+    diff = _fraction_sums(
+        np.concatenate(den), np.concatenate(num), np.concatenate(bucket), 3 * width
+    )
+    nu, xi, sigma = (list(accumulate(diff[t * width : t * width + n + 1])) for t in range(3))
     nu[0] = Fraction(1)
-    zero = Fraction(0)
-    for r, s in coprime_pairs(n):
-        rs = r * s
-        gap_term = Fraction(n - rs, n * rs) if rs != n else zero
-        jump = _gap_jump(n, r, s)
-        b1_val = b1_residue(n * inv_mod(r, s), s)
-        k_lo, k_hi = max(r, s), r + s - 1
-        for k in range(k_lo, k_hi + 1):
-            if gap_term:
-                nu[k] += gap_term
-            if jump:
-                xi[k] += jump
-            if b1_val and s * (s * ((k + r) // s) - r) > n:
-                sigma[k] += b1_val
     return nu, xi, sigma
 
 
 def window_integral(n: int) -> Fraction:
-    """Integral of q(]t - 1/n, t]) over t in ]0, 1], exactly: sum of measure_above over k."""
+    """Integral of q(]t - 1/n, t]) over t in ]0, 1], exactly: sum of measure_above over k.
+
+    Summing min(r, s) (1/(r s) - 1/n) over the pairs gives W = 1 + P - Q/n
+    with P = sum min(r, s)/(r s) = sum 1/max(r, s) and Q = sum min(r, s).
+    """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    total = Fraction(1)  # k = 0 term
-    for r, s in coprime_pairs(n):
-        rs = r * s
-        if rs != n:
-            total += min(r, s) * Fraction(n - rs, n * rs)
-    return total
+    r, s, _ = _pairs(n)
+    low = np.minimum(r, s)
+    return 1 + _fraction_sums(r * s, low)[0] - Fraction(int(low.sum()), n)
 
 
 def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
     """window_integral(n) for every n = 1..max_n in one incremental pass (index 0 is None).
 
-    Uses window_integral(n) = 1 + P(n) - Q(n)/n where P and Q accumulate
-    1/max(r, s) and min(r, s) over coprime pairs with r s <= n; only the
-    pairs with r s == n are new at step n.
+    W(n) = 1 + P(n) - Q(n)/n as in window_integral; step n adds the pairs
+    with r s = n, whose min(r, s) sum to c[n], as c[n]/n to P and c[n] to Q.
     """
     if max_n < 1:
         raise ValueError(f"grid size must be >= 1, got {max_n}")
-    out: list[Optional[Fraction]] = [None] * (max_n + 1)
-    p_acc = Fraction(0)
-    q_acc = 0
-    for n in range(1, max_n + 1):
-        for r in _unitary_splits(n):
-            s = n // r
-            p_acc += Fraction(1, max(r, s))
-            q_acc += min(r, s)
-        out[n] = 1 + p_acc - Fraction(q_acc, n)
+    r, s, _ = _pairs(max_n)
+    c = np.zeros(max_n + 1, dtype=np.int64)
+    np.add.at(c, r * s, np.minimum(r, s))
+    out: list[Optional[Fraction]] = [None]
+    p_acc, q_acc = Fraction(0), 0
+    for n, c_n in enumerate(c.tolist()[1:], start=1):
+        p_acc += Fraction(c_n, n)
+        q_acc += c_n
+        out.append(1 + p_acc - Fraction(q_acc, n))
     return out
 
 
-def _unitary_splits(n: int):
-    """Divisors r of n with gcd(r, n // r) = 1, both orders included."""
-    d = 1
-    while d * d <= n:
-        if n % d == 0 and math.gcd(d, n // d) == 1:
-            yield d
-            if d * d != n:
-                yield n // d
-        d += 1
-
-
 def window_integral_float(n: int) -> float:
-    """Float approximation of window_integral for grid sizes past the exact budget."""
+    """Float approximation of window_integral for grid sizes past the exact budget.
+
+    The same W = 1 + P - Q/n, summed block by block: each block adds
+    2 (sum 1/L - a |block| / n) for its pairs (a, L) and (L, a).
+    """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     total = 2.0 - 1.0 / n  # k = 0 term plus the (1, 1) pair
-    for r in range(1, math.isqrt(n) + 1):
-        s = np.arange(r + 1, n // r + 1)
-        if s.size == 0:
-            continue
-        cop = np.gcd(s, r) == 1
-        # min(r, s) * (1/(r s) - 1/n) = 1/s - r/n, doubled for (s, r)
+    for a, big in coprime_blocks(n):
         total += 2.0 * (
-            float(np.reciprocal(s[cop].astype(np.float64)).sum())
-            - r * int(cop.sum()) / n
+            float(np.reciprocal(big.astype(np.float64)).sum()) - a * big.size / n
         )
     return total
 
@@ -270,33 +335,18 @@ def remainder_parts(n: int) -> RemainderParts:
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    t1 = t11 = t12 = t2 = Fraction(0)
-    for r, s in coprime_pairs(n):
-        if r == s:  # only (1, 1), whose sawtooth value is 0
-            continue
-        b1_val = b1_residue(n * inv_mod(r, s), s)
-        if not b1_val:
-            continue
-        if r < s:
-            hits = sum(
-                1
-                for k in range(s, r + s)
-                if s * (s * ((k + r) // s) - r) > n
-            )
-            if hits:
-                t1 += hits * b1_val
-            if s * (s - r) > n:
-                t11 += max(0, min(r + s, 2 * s - r) - s) * b1_val
-            if s * (2 * s - r) > n:
-                t12 += max(0, min(r + s, 3 * s - r) - (2 * s - r)) * b1_val
-        else:
-            hits = sum(
-                1
-                for k in range(r, r + s)
-                if s * (s * ((k + r) // s) - r) > n
-            )
-            if hits:
-                t2 += hits * b1_val
+    r, s, u = _pairs(n)
+    b1_num = _b1_numerators(n, s, u)
+    hits = np.maximum(0, r + s - _first_hit(n, r, s))
+    # T11 and T12 split the orders k in [s, r + s) of r < s by j = 1 and j = 2;
+    # s t > n for the next denominator t is t > n // s
+    w11 = np.where(s - r > n // s, np.minimum(r, s - r), 0)
+    w12 = np.where(2 * s - r > n // s, np.clip(2 * r - s, 0, s), 0)
+    below, above = r < s, r > s  # (1, 1) is in neither; its sawtooth value is 0
+    t1, t11, t12, t2 = (
+        _fraction_sums(2 * s[side], (weight * b1_num)[side])[0]
+        for side, weight in ((below, hits), (below, w11), (below, w12), (above, hits))
+    )
     return RemainderParts(t1 + t2, t1, t11, t12, t2)
 
 
@@ -306,15 +356,12 @@ def t11_leftover_sum(n: int) -> Fraction:
     For r < s with s (s - r) > n and r s <= n the order range [s, 2s - r)
     already covers every k in [s, r + s), because r s <= n < s (s - r)
     forces r < s - r.  The complementary range is therefore empty; this
-    function evaluates it literally anyway.
+    function evaluates it literally anyway, over the kernel's pairs.
     """
-    total = Fraction(0)
-    for r, s in coprime_pairs(n):
-        if r < s and 2 * r > s and s * (s - r) > n:
-            total += max(0, (r + s) - max(s, 2 * s - r)) * b1_residue(
-                n * inv_mod(r, s), s
-            )
-    return total
+    r, s, u = _pairs(n)
+    leftover = np.maximum(0, (r + s) - np.maximum(s, 2 * s - r))
+    weight = np.where((r < s) & (2 * r > s) & (s - r > n // s), leftover, 0)
+    return _fraction_sums(2 * s, weight * _b1_numerators(n, s, u))[0]
 
 
 def t2_quotient_groups(n: int) -> dict[int, Fraction]:

@@ -508,27 +508,25 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:
-    """Run one named suite; max_n overrides its primary size knob."""
-    if name == "farey":
-        return check_farey(max_n or 200)
+    """Run one named suite; max_n >= 1 overrides its primary size knob."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    if max_n is None:
+        return _SUITES[name]()
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if name == "minden":
-        if max_n is None:
-            return check_minden()
         return check_minden(samples=min(10_000, 50 * max_n), max_n=max_n)
     if name == "identities":
-        return check_identities(max_n or 300, theta_max_n=min(max_n or 300, 100))
+        return check_identities(max_n, theta_max_n=min(max_n, 100))
     if name == "expsums":
-        if max_n is None:
-            return check_expsums()
         return check_expsums(
             q_weil=min(100, max_n),
             q_dft=min(200, max_n),
             q_twisted=min(60, max_n),
             s_weighted=min(40, max_n),
         )
-    if name == "variants":
-        return check_variants(max_n or 500)
-    raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](max_n)
 
 
 def run(suites: str = "all", max_n: Optional[int] = None) -> list[SuiteResult]:

@@ -16,6 +16,16 @@ def farey_brute(k):
     return sorted({Fraction(p, q) for q in range(1, k + 1) for p in range(q + 1)})
 
 
+def coprime_pairs_brute(n):
+    """All ordered pairs (r, s) with gcd(r, s) = 1 and r * s <= n, as a set."""
+    return {
+        (r, s)
+        for r in range(1, n + 1)
+        for s in range(1, n // r + 1)
+        if math.gcd(r, s) == 1
+    }
+
+
 def contains(x, lo, hi, lo_closed, hi_closed):
     if x < lo or x > hi:
         return False

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mindenom import cli, sums
+from mindenom import cli, sums, verify
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +147,30 @@ def test_sweep_rejects_bad_range(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "sweep", "--from", "2", "--to", "9", "--step", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_sweep_rejects_non_finite_factor(capsys, factor):
+    code, _, err = run_cli(capsys, "sweep", "--from", "2", "--to", "9", "--factor", factor)
+    assert code == 2
+    assert "--factor" in err
+
+
+@pytest.mark.parametrize("command", [["compute", "--n", "10"], ["sweep", "--from", "1", "--to", "9"]])
+def test_rejects_budget_below_one(capsys, command):
+    for budget in ("0", "-3"):
+        code, out, err = run_cli(capsys, *command, "--budget", budget)
+        assert code == 2
+        assert "--budget" in err and out == ""
+
+
+@pytest.mark.parametrize("max_n", ["0", "-5"])
+def test_verify_rejects_max_n_below_one(capsys, max_n):
+    code, out, err = run_cli(capsys, "verify", "--suite", "variants", "--max-n", max_n)
+    assert code == 2
+    assert "--max-n" in err and "OK" not in out
+    with pytest.raises(ValueError):
+        verify.run_suite("variants", int(max_n))
 
 
 def test_step_and_factor_mutually_exclusive():

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mindenom import farey
 
-from oracles import farey_brute
+from oracles import coprime_pairs_brute, farey_brute
 
 
 def test_inv_mod_examples():
@@ -161,12 +162,22 @@ def test_totient_sieve_matches_gcd_definition():
 
 
 def test_coprime_pairs_enumeration():
-    for n in range(1, 60):
-        got = sorted(farey.coprime_pairs(n))
-        want = sorted(
-            (r, s)
-            for r in range(1, n + 1)
-            for s in range(1, n // r + 1)
-            if math.gcd(r, s) == 1
-        )
-        assert got == want
+    # the blocks plus (1, 1), expanded to ordered pairs, once each
+    for n in range(1, 200):
+        got = [(1, 1)]
+        for a, big in farey.coprime_blocks(n):
+            assert big.dtype == np.int64
+            assert all(a < big) and list(big) == sorted(set(big.tolist()))
+            got += [(a, int(b)) for b in big] + [(int(b), a) for b in big]
+        assert len(got) == len(set(got))
+        assert set(got) == coprime_pairs_brute(n)
+
+
+def test_block_inverses():
+    for n in (1, 2, 30, 97, 200, 1000):
+        for a, big in farey.coprime_blocks(n):
+            x, y = farey.block_inverses(a, big)
+            assert ((1 <= x) & (x <= big)).all() and ((1 <= y) & (y <= a)).all()
+            assert (a * x % big == 1).all()
+            assert (big * y % a == 1 % a).all()
+            assert [int(v) for v in x] == [farey.inv_mod(a, int(b)) for b in big]

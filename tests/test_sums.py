@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,29 @@ def test_window_integral_routes_agree():
         assert math.isclose(
             sums.window_integral_float(n), float(direct), rel_tol=1e-12
         )
+
+
+@pytest.mark.parametrize("n", [1999, 2000, 2001])
+def test_window_integral_float_at_budget_switch(n):
+    # sweep switches from the exact to the float integral at the default
+    # budget 2000; about 3e-16 relative error was measured there
+    exact = float(sums.window_integral(n))
+    assert abs(sums.window_integral_float(n) - exact) <= 1e-13 * exact
+
+
+def test_first_hit_matches_order_by_order_rule():
+    # the orders k with s * t > n (t the next denominator) are [k*, r + s)
+    for n in range(1, 80):
+        pairs = sorted(oracles.coprime_pairs_brute(n))
+        r = np.array([p[0] for p in pairs], dtype=np.int64)
+        s = np.array([p[1] for p in pairs], dtype=np.int64)
+        for ri, si, ki in zip(r.tolist(), s.tolist(), sums._first_hit(n, r, s).tolist()):
+            hits = [
+                k
+                for k in range(max(ri, si), ri + si)
+                if si * farey.next_denominator(k, ri, si) > n
+            ]
+            assert hits == list(range(ki, ri + si)), (n, ri, si)
 
 
 def test_remainder_examples():
@@ -174,7 +198,7 @@ def test_variant_gap_routes_and_bound():
         upper = sums.variant_gap(n, "upper")
         assert upper == sums.denominator_sum(n, "open") - sums.denominator_sum(n)
         direct = sum(
-            min(r, s) for r, s in farey.coprime_pairs(n) if n % s == 0
+            min(r, s) for r, s in oracles.coprime_pairs_brute(n) if n % s == 0
         )
         assert upper == direct
         tau = expsums.divisor_count(n)
