@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import sums, verify
-from .minden import VARIANT_FLAGS
+from .minden import GRID_MAX_N, VARIANT_FLAGS
 
 DEFAULT_BUDGET = 2000
 DEFAULT_VARIANT = "half-open-right"
@@ -87,9 +87,17 @@ def sweep_rows(
     variant: str = DEFAULT_VARIANT,
     budget: int = DEFAULT_BUDGET,
 ) -> list[SweepRow]:
-    """Rows of the sweep table, exact integral up to budget, float beyond."""
+    """Rows of the sweep table, exact integral up to budget, float beyond.
+
+    Raises OverflowError before any work when stop > minden.GRID_MAX_N.
+    """
     if start < 1 or stop < start:
         raise ValueError(f"need 1 <= start <= stop, got {start}..{stop}")
+    if stop > GRID_MAX_N:
+        raise OverflowError(
+            f"sweep end {stop} exceeds GRID_MAX_N = {GRID_MAX_N}, "
+            "the int64 limit of the grid solver"
+        )
     grid = list(_grid(start, stop, step, factor))
     series = None
     if grid and grid[0] <= budget:
@@ -142,7 +150,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.budget < 1:
         return _invalid(f"--budget must be >= 1, got {args.budget}")
     if args.s_only:
-        s = sums.denominator_sum(args.n, args.variant)
+        try:
+            s = sums.denominator_sum(args.n, args.variant)
+        except OverflowError as exc:
+            return _invalid(str(exc))
         print(f"N={args.n}")
         print(f"S={s}")
         print(f"ratio={_fmt(s / args.n**1.5)}")
@@ -159,7 +170,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "the full report describes the half-open-right grid and already "
             "includes every variant sum; combine --variant with --s-only"
         )
-    report = sums.sum_report(args.n)
+    try:
+        report = sums.sum_report(args.n)
+    except OverflowError as exc:
+        return _invalid(str(exc))
     for key, attr in _REPORT_KEYS:
         value = getattr(report, attr)
         if value is None:
@@ -177,9 +191,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _invalid(f"--step must be >= 1, got {args.step}")
     if args.budget < 1:
         return _invalid(f"--budget must be >= 1, got {args.budget}")
-    rows = sweep_rows(
-        args.start, args.stop, args.step, args.factor, args.variant, args.budget
-    )
+    try:
+        rows = sweep_rows(
+            args.start, args.stop, args.step, args.factor, args.variant, args.budget
+        )
+    except OverflowError as exc:
+        return _invalid(str(exc))
     if args.out is None:
         write_sweep_csv(rows, sys.stdout)
         return 0

@@ -149,8 +149,9 @@ def block_inverses(a: int, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     y is looked up in one table of inverses mod a; x then follows from the
     identity a*x + L*y = 1 + a*L, so no inverse is computed per pair.  For a
-    block of coprime_blocks(n) every product stays <= n^2, also n*x and n*y
-    in the callers' b1 numerators, which fits int64 for n < 3*10^9.
+    block of coprime_blocks(n) every product here stays <= n (a*L <= n and
+    L*y <= L*a).  The n^2 bound belongs to the callers: their b1 numerators
+    n*x and n*y reach n*L, which sums._pairs guards.
     """
     table = np.array(
         [a] + [pow(u, -1, a) if math.gcd(u, a) == 1 else 0 for u in range(1, a)],

@@ -19,6 +19,26 @@ q >= 1 such that E contains a fraction p/q.  Two algorithms are provided:
 
 All four boundary variants (each end open or closed) are supported; single
 points {a/b} are allowed when both ends are closed and give b.
+
+The n grid windows ](j-1)/n, j/n] are solved in blocks (grid_blocks): CHUNK
+consecutive windows run the "fast" descent in lockstep on numpy int64
+arrays.  All windows of a block start with the same boundary flags and every
+window still in the block swaps them at every level, so the flags stay
+scalars.  At each level, with lo = an/ad and hi = bn/bd, the smallest
+admissible integer is c = floor(lo) + (lo is not an integer, or lo is open).
+A window fits when c*bd < bn, or c*bd == bn with the upper end closed
+(bd == 0, an upper end of +infinity, fits through c*bd = 0), and leaves the
+block with denominator q1*c + q0.  The others strip m = floor(lo), invert
+and swap their flags, exactly as _simplest_in does, which stays the scalar
+reference.  Memory is O(CHUNK) for any n.
+
+Integer width: the inversion keeps an*bd - ad*bn = -n at every level and
+the four endpoint terms stay in 0..n, so c*bd <= (an/ad + 1) bd
+= bn - n/ad + bd < 2n; every denominator is at most 2n (the open window
+contains (2j - 1)/(2n)).  So no value of the descent exceeds 2n, and the
+block sums that sums.denominator_sum adds in int64 stay <= 2n*CHUNK.
+GRID_MAX_N is the largest n for which 2n*CHUNK fits int64; grid_blocks
+raises OverflowError above it before anything is allocated.
 """
 
 from __future__ import annotations
@@ -26,7 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Union
+from typing import Iterator, Literal, Union
+
+import numpy as np
 
 Rational = Union[int, Fraction]
 Variant = Literal["half-open-right", "half-open-left", "closed", "open"]
@@ -39,6 +61,13 @@ VARIANT_FLAGS: dict[str, tuple[bool, bool]] = {
     "closed": (True, True),
     "open": (False, False),
 }
+
+#: Windows per block of the grid solver; on S(2**20) 2**13 and 2**14 ran
+#: alike and about 1.5x faster than 2**15 (2-vCPU Xeon VM, numpy 2.4).
+CHUNK = 1 << 14
+
+#: Largest grid size of the grid solver: 2n*CHUNK <= 2**63 - 1 (2**48 - 1).
+GRID_MAX_N = (2**63 - 1) // (2 * CHUNK)
 
 
 @dataclass(frozen=True)
@@ -196,11 +225,50 @@ def min_denominator_grid(
     )
 
 
-def grid_denominators(n: int, variant: Variant = "half-open-right") -> list[int]:
-    """Minimal denominators of all n grid windows, fast path, as a list indexed by j - 1."""
+def grid_blocks(n: int, variant: Variant = "half-open-right") -> Iterator[np.ndarray]:
+    """Minimal denominators of the n grid windows as int64 blocks of CHUNK consecutive j.
+
+    Raises OverflowError for n > GRID_MAX_N, before any block is built.
+    """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    lo_closed, hi_closed = VARIANT_FLAGS[variant]
-    lo_open, hi_open = not lo_closed, not hi_closed
-    simplest = _simplest_in
-    return [simplest(j - 1, n, lo_open, j, n, hi_open)[1] for j in range(1, n + 1)]
+    if n > GRID_MAX_N:
+        raise OverflowError(
+            f"grid size {n} exceeds GRID_MAX_N = {GRID_MAX_N}, "
+            "the int64 limit of the grid solver"
+        )
+    lo_open, hi_open = (not closed for closed in VARIANT_FLAGS[variant])
+    blocks = (
+        np.arange(j, min(j + CHUNK, n + 1), dtype=np.int64)
+        for j in range(1, n + 1, CHUNK)
+    )
+    return (_descend_block(n, j, lo_open, hi_open) for j in blocks)
+
+
+def _descend_block(n: int, j: np.ndarray, a_open: bool, b_open: bool) -> np.ndarray:
+    """Denominators of _simplest_in(j - 1, n, a_open, j, n, b_open) for an int64 array j."""
+    q = np.empty(j.size, dtype=np.int64)
+    at = np.arange(j.size)
+    an, ad, bn, bd = j - 1, np.full_like(j, n), j, np.full_like(j, n)
+    q1, q0 = np.zeros_like(j), np.ones_like(j)
+    while at.size:
+        m, rem = np.divmod(an, ad)
+        c = m + 1 if a_open else m + (rem != 0)
+        cbd = c * bd
+        fit = cbd < bn if b_open else cbd <= bn
+        hit = np.flatnonzero(fit)
+        if hit.size:  # the first levels rarely resolve a window: skip the copies
+            q[at[hit]] = q1[hit] * c[hit] + q0[hit]
+            stay = np.flatnonzero(~fit)
+            at, m, an, ad, bn, bd, q1, q0, rem = (
+                x[stay] for x in (at, m, an, ad, bn, bd, q1, q0, rem)
+            )
+        an, ad, bn, bd = bd, bn - m * bd, ad, rem
+        q1, q0 = q1 * m + q0, q1
+        a_open, b_open = b_open, a_open
+    return q
+
+
+def grid_denominators(n: int, variant: Variant = "half-open-right") -> list[int]:
+    """Minimal denominators of all n grid windows, fast path, as a list indexed by j - 1."""
+    return np.concatenate(list(grid_blocks(n, variant))).tolist()

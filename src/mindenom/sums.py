@@ -30,7 +30,10 @@ farey.coprime_blocks.  The integral is W(n) = 1 + P - Q/n with P and Q the
 sums of 1/max(r, s) and min(r, s) over the pairs; the orders at which a pair
 sees a following gap below 1/n form one suffix of its adjacency range, found
 in closed form by _first_hit; exact sums add int64 numerators per
-denominator before any big-integer arithmetic.
+denominator before any big-integer arithmetic.  S(n) and the direct window
+count add up the int64 blocks of minden.grid_blocks, never a list of all n
+denominators.  The int64 limits are PAIRS_MAX_N for the pair sums and
+PER_K_MAX_N for per_k_tables; larger n raise OverflowError up front.
 """
 
 from __future__ import annotations
@@ -44,9 +47,16 @@ import numpy as np
 
 from .expsums import b1_residue
 from .farey import block_inverses, coprime_blocks, inv_mod
-from .minden import Variant, grid_denominators
+from .minden import Variant, grid_blocks
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
+
+INT64_MAX = 2**63 - 1
+#: Largest n for _pairs: its callers' b1 numerators n*u reach n*s <= n^2.
+PAIRS_MAX_N = math.isqrt(INT64_MAX)
+#: Largest n for per_k_tables: its bucket keys reach (3n + 5)(2n + 1) + 2n
+#: = 6n^2 + 15n + 5, so (12n + 15)^2 <= 24 INT64_MAX + 105.
+PER_K_MAX_N = (math.isqrt(24 * INT64_MAX + 105) - 15) // 12
 
 
 class RemainderParts(NamedTuple):
@@ -69,8 +79,8 @@ def _adjacent_pairs_at(n: int, k: int):
 
 
 def denominator_sum(n: int, variant: Variant = "half-open-right") -> int:
-    """S(n): sum of the minimal denominators of the n grid windows."""
-    return sum(grid_denominators(n, variant))
+    """S(n): sum of the minimal denominators of the n grid windows, block by block."""
+    return sum(int(block.sum()) for block in grid_blocks(n, variant))
 
 
 def count_above(n: int, k: int, method: str = "count") -> int:
@@ -82,7 +92,7 @@ def count_above(n: int, k: int, method: str = "count") -> int:
     if k < 0:
         raise ValueError(f"threshold must be >= 0, got {k}")
     if method == "count":
-        return sum(1 for q in grid_denominators(n) if q > k)
+        return sum(int(np.count_nonzero(block > k)) for block in grid_blocks(n))
     if method != "farey":
         raise ValueError(f"unknown method {method!r}")
     if k == 0:
@@ -143,11 +153,20 @@ def sawtooth_gap_sum(n: int, k: int) -> Fraction:
     return total
 
 
+def _check_int64(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise OverflowError(
+            f"grid size {n} exceeds {limit}, the int64 limit of {what}"
+        )
+
+
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every ordered coprime pair with r s <= n as int64 arrays (r, s, u), (1, 1) first.
 
     u = inv(r, s) in 1..s, the numerator of the right fraction u/s of the pair.
+    Raises OverflowError for n > PAIRS_MAX_N.
     """
+    _check_int64(n, PAIRS_MAX_N, "the pair sums")
     r, s, u = ([np.ones(1, dtype=np.int64)] for _ in range(3))
     for a, big in coprime_blocks(n):
         small = np.full(big.size, a, dtype=np.int64)
@@ -214,10 +233,12 @@ def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]
     consecutive orders k in [max(r, s), r + s - 1]; its gap and jump terms
     cover that range and its sawtooth term the hitting suffix from
     _first_hit.  Every term enters a difference array over k where its range
-    starts and leaves it where the range ends.
+    starts and leaves it where the range ends.  Raises OverflowError for
+    n > PER_K_MAX_N.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
+    _check_int64(n, PER_K_MAX_N, "per_k_tables")
     r, s, u = _pairs(n)
     v = (1 + r * s - r * u) // s  # inv(s, r), from r u + s v = 1 + r s
     first, stop = np.maximum(r, s), r + s

@@ -173,6 +173,18 @@ def check_minden(
             ),
             f"variant ordering fails at n={n}",
         )
+    # block solver against the scalar descent, window by window; the last n
+    # spans three blocks, so the joins between blocks are checked too
+    for n in [*range(1, min(max_n, 200) + 1), 2 * minden.CHUNK + 1]:
+        for variant in minden.VARIANT_FLAGS:
+            res.check(
+                minden.grid_denominators(n, variant)
+                == [
+                    minden.min_denominator_grid(n, j, variant)
+                    for j in range(1, n + 1)
+                ],
+                f"grid_denominators({n}, {variant!r}) != per-window solver",
+            )
     # degenerate points
     for _ in range(500):
         x = _random_fraction(rng, 1000)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mindenom import cli, sums, verify
+from mindenom import cli, minden, sums, verify
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +162,20 @@ def test_rejects_budget_below_one(capsys, command):
         code, out, err = run_cli(capsys, *command, "--budget", budget)
         assert code == 2
         assert "--budget" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compute", "--s-only", "--n"],
+        ["compute", "--budget", str(minden.GRID_MAX_N + 1), "--n"],
+        ["sweep", "--from", "1", "--factor", "2", "--to"],
+    ],
+)
+def test_grid_size_over_int64_limit_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, *command, str(minden.GRID_MAX_N + 1))
+    assert code == 2
+    assert err.startswith("error:") and "GRID_MAX_N" in err and out == ""
 
 
 @pytest.mark.parametrize("max_n", ["0", "-5"])

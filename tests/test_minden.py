@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -66,12 +67,50 @@ def test_grid_examples():
 
 
 def test_grid_denominators_matches_single_queries():
-    for n in range(1, 40):
+    chunk = minden.CHUNK
+    # block edges: one short block, exactly one, one plus a window, three blocks
+    for n in [*range(1, 40), chunk - 1, chunk, chunk + 1, 2 * chunk + 1]:
         for variant in minden.VARIANT_FLAGS:
             qs = minden.grid_denominators(n, variant)
             assert qs == [
                 minden.min_denominator_grid(n, j, variant) for j in range(1, n + 1)
             ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 200_000),
+    st.lists(st.floats(0, 1), min_size=1, max_size=20),
+    st.sampled_from(sorted(minden.VARIANT_FLAGS)),
+)
+def test_grid_denominators_sampled_windows(n, where, variant):
+    qs = minden.grid_denominators(n, variant)
+    assert len(qs) == n
+    for j in {1, n, *(1 + int(x * (n - 1)) for x in where)}:
+        assert qs[j - 1] == minden.min_denominator_grid(n, j, variant)
+
+
+def test_grid_size_limit():
+    limit, chunk, int64_max = minden.GRID_MAX_N, minden.CHUNK, 2**63 - 1
+    assert 2 * limit * chunk <= int64_max < 2 * (limit + 1) * chunk
+    rng = random.Random(3)
+    # at the limit the first block, its int64 sum and sampled windows across
+    # the grid agree with the Python-int descent; the descent alone stays
+    # exact up to n = (2**63 - 1) // 2, where its values reach 2n
+    for variant, (lo_closed, hi_closed) in minden.VARIANT_FLAGS.items():
+        first = next(minden.grid_blocks(limit, variant))
+        expect = [minden.min_denominator_grid(limit, j, variant) for j in range(1, chunk + 1)]
+        assert first.tolist() == expect and int(first.sum()) == sum(expect)
+        for n in (limit, int64_max // 2):
+            js = [1, 2, n - 1, n] + [rng.randint(1, n) for _ in range(200)]
+            got = minden._descend_block(
+                n, np.array(js, dtype=np.int64), not lo_closed, not hi_closed
+            )
+            assert got.tolist() == [minden.min_denominator_grid(n, j, variant) for j in js]
+    with pytest.raises(OverflowError):
+        minden.grid_blocks(limit + 1)
+    with pytest.raises(OverflowError):
+        minden.grid_denominators(limit + 1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindenom import expsums, farey, sums
+from mindenom import expsums, farey, minden, sums
 
 import oracles
 
@@ -26,6 +27,52 @@ def test_denominator_sum_matches_brute_grid():
             ("open", (False, False)),
         ):
             assert sums.denominator_sum(n, variant) == sum(oracles.grid_brute(n, *flags))
+
+
+def test_denominator_sum_memory_is_bounded():
+    # a list of all 2**20 denominators would take over 30 MB; the grid solver
+    # holds about two dozen int64 arrays of CHUNK entries at a time
+    sums.denominator_sum(64)  # imports and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        s = sums.denominator_sum(2**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s == 1740040811  # the N = 2**20 row of perfbench/golden_sweep.csv
+    assert peak < 32 * minden.CHUNK * 8
+
+
+def test_int64_size_limits(monkeypatch):
+    int64_max = 2**63 - 1
+    assert sums.PAIRS_MAX_N**2 <= int64_max < (sums.PAIRS_MAX_N + 1) ** 2
+    keys = lambda n: (3 * n + 5) * (2 * n + 1) + 2 * n  # per_k_tables bucket keys
+    assert keys(sums.PER_K_MAX_N) <= int64_max < keys(sums.PER_K_MAX_N + 1)
+    for over in (sums.denominator_sum, lambda n: sums.count_above(n, 1)):
+        with pytest.raises(OverflowError):
+            over(minden.GRID_MAX_N + 1)
+    for over in (sums.window_integral, sums.remainder_parts):
+        with pytest.raises(OverflowError):
+            over(sums.PAIRS_MAX_N + 1)
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    # at its limit each guard lets the call through to its first allocation,
+    # stubbed out here; one above, it raises before anything is built
+    monkeypatch.setattr(sums, "coprime_blocks", reached)
+    with pytest.raises(Reached):
+        sums._pairs(sums.PAIRS_MAX_N)
+    with pytest.raises(OverflowError):
+        sums._pairs(sums.PAIRS_MAX_N + 1)
+    monkeypatch.setattr(sums, "_pairs", reached)
+    with pytest.raises(Reached):
+        sums.per_k_tables(sums.PER_K_MAX_N)
+    with pytest.raises(OverflowError):
+        sums.per_k_tables(sums.PER_K_MAX_N + 1)
 
 
 def test_count_above_examples():
