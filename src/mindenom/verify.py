@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -23,6 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expsums, farey, minden, sums
+
+EPS = sys.float_info.epsilon
 
 
 @dataclass
@@ -335,6 +338,22 @@ def check_expsums(
                 f"odd transform not odd imaginary at q={q}",
             )
 
+    # the FFT transforms against the direct O(q^2) sums at two primes above 100
+    fft_rng = random.Random(f"fft:{seed}")  # own stream: the draws of `rng` stay as they were
+    for q in (101, 199):
+        values = np.array(
+            [complex(fft_rng.uniform(-1, 1), fft_rng.uniform(-1, 1)) for _ in range(q)]
+        )
+        n = np.arange(1, q + 1)
+        roots = np.exp(2j * np.pi * (np.outer(n, n) % q) / q)
+        f = expsums.PeriodicFunction(q, tuple(values))
+        for name, got, want in (
+            ("dft", expsums.dft(f).values, roots.conj() @ values),
+            ("idft", expsums.idft(f).values, roots @ values / q),
+        ):
+            worst = float(np.abs(np.array(got) - want).max())
+            res.check(worst <= 64 * q * EPS, f"{name} off the direct sum by {worst} at q={q}")
+
     # Kloosterman: realness, Weil bound, Ramanujan specialization and evenness
     for q in range(1, q_weil + 1):
         try:
@@ -366,6 +385,19 @@ def check_expsums(
                     abs(expsums.ramanujan(a, q) - table[a, 0]) < 1e-9,
                     f"ramanujan({a}, {q}) != K({a}, 0; {q})",
                 )
+        # the table against the scalar sum: every entry up to q = 30, then 8
+        # seeded entries per q, the first in a non-unit column
+        if q <= 30:
+            entries = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            non_units = [b for b in range(q) if math.gcd(b, q) > 1]
+            entries = [(fft_rng.randrange(q), fft_rng.choice(non_units))]
+            entries += [(fft_rng.randrange(q), fft_rng.randrange(q)) for _ in range(7)]
+        for a, b in entries:
+            res.check(
+                abs(table[a, b] - expsums.kloosterman(a, b, q)) <= 64 * q * EPS,
+                f"kloosterman_table({q})[{a}, {b}] != K({a}, {b}; {q})",
+            )
 
     # sawtooth transform: closed form vs direct DFT, and the transform-sum bound
     for q in range(1, q_dft + 1):

@@ -1,8 +1,11 @@
 import cmath
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 from mindenom import expsums
 
 import oracles
+
+EPS = sys.float_info.epsilon
 
 
 def test_periodic_function_basics():
@@ -52,12 +57,29 @@ def test_dft_of_unit_indicator_is_ramanujan():
 
 
 def test_dft_matches_literal_sum():
+    # the oracle takes exp of the unreduced phase 2 pi n x / q, off by about
+    # q eps, so its sum of q terms can be off by about q^2 eps
     rng = random.Random(5)
-    for q in (1, 2, 3, 7, 12, 25):
+    for q in (1, 2, 3, 7, 12, 25, 127, 360, 521):
         values = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(q)]
-        f_hat = expsums.dft(expsums.PeriodicFunction(q, tuple(values)))
+        f = expsums.PeriodicFunction(q, tuple(values))
+        f_hat, back = expsums.dft(f), expsums.idft(f)
         for x in range(1, q + 1):
-            assert abs(f_hat(x) - oracles.dft_brute(values, x)) < 1e-9
+            assert abs(f_hat(x) - oracles.dft_brute(values, x)) <= 16 * q * q * EPS
+            assert abs(back(x) - oracles.dft_brute(values, -x) / q) <= 16 * q * EPS
+
+
+def test_transform_memory_is_linear():
+    # the direct sum built a q x q complex matrix (54 MiB at q = 1531)
+    f = expsums.b1_table(1531)
+    expsums.dft(expsums.b1_table(7))  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        expsums.dft(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_idft_zero_and_delta():
@@ -119,6 +141,34 @@ def test_kloosterman_table_matches_scalar():
                 assert table[a, b] == pytest.approx(
                     expsums.kloosterman(a, b, q), abs=1e-9
                 )
+
+
+def test_kloosterman_table_matches_brute():
+    # prime powers and moduli with many non-unit columns, each transformed
+    # on its own; the unit columns come from column 1 by K(a, b) = K(ab, 1).
+    # The oracle's phases (a n + b inv(n)) / q reach 2q, so as for the
+    # transforms its error grows like q^2 eps
+    for q in (1, 2, 8, 9, 16, 27, 30, 32, 36, 37):
+        table = expsums.kloosterman_table(q)
+        assert table.shape == (q, q) and table.dtype == np.float64
+        for a in range(q):
+            for b in range(q):
+                want = oracles.kloosterman_brute(a, b, q)
+                assert abs(table[a, b] - want.real) <= 16 * q * q * EPS
+
+
+def test_kloosterman_table_memory_is_bounded():
+    # the q x phi(q) x q product took 125 MiB at q = 1531; the table itself is q^2 float64
+    q = 1531
+    expsums.kloosterman_table(7)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        table = expsums.kloosterman_table(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (q, q)
+    assert peak <= 4 * q * q * 8
 
 
 def test_ramanujan_examples():
