@@ -283,6 +283,8 @@ def test_weighted_b1_bound_spot():
 def test_geometric_sum_bound_examples():
     assert expsums.geometric_sum_bound_check(0, 1, Fraction(1, 2))
     assert expsums.geometric_sum_bound_check(0, 9, Fraction(1, 3))
+    # 200 terms at 399/400 meet the bound exactly; float error once tipped it over
+    assert expsums.geometric_sum_bound_check(0, 199, Fraction(399, 400))
     with pytest.raises(ValueError):
         expsums.geometric_sum_bound_check(0, 5, Fraction(2))
 
