@@ -82,6 +82,13 @@ def test_weighted_bound_grid_guards_its_range():
         verify.weighted_bound_grid(verify.WEIGHTED_GRID_MAX_S + 1, 1, 1.0)
 
 
+def test_weighted_bound_grid_depends_on_n_mod_s():
+    s, tail = 37, 0.02 * 37**0.5
+    grid = verify.weighted_bound_grid(s, 5, tail)
+    for n in [5 + s, 5 - 3 * s, 5 + s * 2**70]:
+        assert np.array_equal(verify.weighted_bound_grid(s, n, tail), grid)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_check_all_matches_check_loop(seed):
     rng = random.Random(seed)
