@@ -5,7 +5,8 @@ enumeration), minden (fast interval solver against the scanning oracle plus
 monotonicity, reflection and variant ordering), identities (the exact rational
 identity chain for S, R and T), expsums (transform and bound checks), variants
 (the four boundary variants of S and the divisor-sum gap formula).  Every
-suite counts individual checks and records the first counterexample, so a
+check has a short name; a suite counts its checks in total and per name
+(`SuiteResult.checks`) and records the first counterexample of each, so a
 failure pinpoints the smallest offending input.
 
 All randomized checks draw from seeded generators; two runs with the same
@@ -30,6 +31,15 @@ EPS = sys.float_info.epsilon
 
 
 @dataclass
+class Tally:
+    """Counts and first counterexample of one named check."""
+
+    passed: int = 0
+    failed: int = 0
+    first_failure: Optional[str] = None
+
+
+@dataclass
 class SuiteResult:
     name: str
     passed: int = 0
@@ -37,22 +47,29 @@ class SuiteResult:
     first_failure: Optional[str] = None
     #: wall time of the suite, set by run_suite
     seconds: float = field(default=0.0, compare=False)
+    #: one tally per check name, in first-use order
+    checks: dict[str, Tally] = field(default_factory=dict, compare=False)
 
-    def ok(self) -> None:
-        self.passed += 1
+    def _add(self, name: str, passed: int, failed: int, detail: Callable[[], str]) -> None:
+        """Count checks under name; detail() names the first failure, called only if needed."""
+        tally = self.checks.setdefault(name, Tally())
+        tally.passed += passed
+        tally.failed += failed
+        self.passed += passed
+        self.failed += failed
+        if failed and tally.first_failure is None:
+            tally.first_failure = detail()
+            if self.first_failure is None:
+                self.first_failure = tally.first_failure
 
-    def fail(self, detail: str) -> None:
-        self.failed += 1
-        if self.first_failure is None:
-            self.first_failure = detail
+    def fail(self, name: str, detail: Optional[str] = None) -> None:
+        """One failed check under name; detail, the counterexample, defaults to the name."""
+        self._add(name, 0, 1, lambda: name if detail is None else detail)
 
-    def check(self, cond: bool, detail: str) -> None:
-        if cond:
-            self.ok()
-        else:
-            self.fail(detail)
+    def check(self, name: str, cond: bool, detail: str) -> None:
+        self._add(name, int(cond), int(not cond), lambda: detail)
 
-    def check_all(self, ok: np.ndarray, detail: Callable[[int], str]) -> None:
+    def check_all(self, name: str, ok: np.ndarray, detail: Callable[[int], str]) -> None:
         """One check per element of the boolean array ok, in its flat order.
 
         Counts and first_failure come out as from calling check on each
@@ -61,11 +78,7 @@ class SuiteResult:
         """
         ok = np.asarray(ok, dtype=bool).ravel()
         passed = int(np.count_nonzero(ok))
-        self.passed += passed
-        if passed < ok.size:
-            self.failed += ok.size - passed
-            if self.first_failure is None:
-                self.first_failure = detail(int(np.argmin(ok)))
+        self._add(name, passed, ok.size - passed, lambda: detail(int(np.argmin(ok))))
 
 
 def check_farey(max_k: int = 200) -> SuiteResult:
@@ -76,7 +89,7 @@ def check_farey(max_k: int = 200) -> SuiteResult:
             if math.gcd(a, q) != 1:
                 continue
             b = farey.inv_mod(a, q)
-            res.check(0 < b <= q and a * b % q == 1 % q, f"inv_mod({a}, {q}) = {b}")
+            res.check("inv_mod", 0 < b <= q and a * b % q == 1 % q, f"inv_mod({a}, {q}) = {b}")
     phis = farey.totient_sieve(max_k)
     # brute force, built and sorted once at max_k: every p/q with q <= max_k,
     # deduplicated by value; F_k is its subsequence of denominators <= k
@@ -92,27 +105,28 @@ def check_farey(max_k: int = 200) -> SuiteResult:
         summatory += phis[k]
         seq = farey.farey_sequence(k)
         res.check(
-            len(seq) == summatory + 1
-            and farey.totient_summatory(k) == summatory,
+            "farey length",
+            len(seq) == summatory + 1 and farey.totient_summatory(k) == summatory,
             f"farey_sequence({k}) has length {len(seq)}",
         )
         num = np.array([x.numerator for x in seq], dtype=np.int64)
         den = np.array([x.denominator for x in seq], dtype=np.int64)
         in_k = brute_den <= k
         res.check(
+            "farey brute",
             np.array_equal(num, brute_num[in_k]) and np.array_equal(den, brute_den[in_k]),
             f"farey_sequence({k}) != brute enumeration",
         )
         a, r, b, s = num[:-1], den[:-1], num[1:], den[1:]
         res.check_all(
-            (b * r - a * s == 1) & (r + s > k),
+            "unimodular", (b * r - a * s == 1) & (r + s > k),
             lambda i: f"pair {seq[i]} < {seq[i + 1]} at order {k} not unimodular",
         )
         pairs = farey.adjacent_pairs(k)
         r = np.array([p.r for p in pairs], dtype=np.int64)
         s = np.array([p.s for p in pairs], dtype=np.int64)
         res.check(
-            len(pairs) == summatory and np.array_equal(s, den[1:]),
+            "pair list", len(pairs) == summatory and np.array_equal(s, den[1:]),
             f"adjacent_pairs({k}) inconsistent with the sequence",
         )
         # the pairs as a set: every (r, s) in 1..k, hitting exactly the
@@ -123,13 +137,13 @@ def check_farey(max_k: int = 200) -> SuiteResult:
         if inside:
             found[r, s] = True
         res.check(
-            inside and np.array_equal(found, brute_pairs),
+            "pair set", inside and np.array_equal(found, brute_pairs),
             f"adjacent_pairs({k}) set mismatch",
         )
         t = np.array([farey.next_denominator(k, p.r, p.s) for p in pairs], dtype=np.int64)
         # second closed form: k - s * frac((k + r) / s) = k - (k + r) mod s
         res.check_all(
-            (t == k - (k + r) % s) & (t >= 1) & (t <= k),
+            "next_denominator", (t == k - (k + r) % s) & (t >= 1) & (t <= k),
             lambda i: f"next_denominator({k}, {r[i]}, {s[i]}) = {t[i]} fails a closed form",
         )
     return res
@@ -162,9 +176,7 @@ def check_minden(
                 iv = minden.Interval(a, b, lo_closed, hi_closed)
                 fast = minden.min_denominator(iv, "fast")
                 oracle = minden.min_denominator(iv, "oracle")
-                res.check(
-                    fast == oracle, f"{iv}: fast={fast} oracle={oracle}"
-                )
+                res.check("fast = oracle", fast == oracle, f"{iv}: fast={fast} oracle={oracle}")
     # monotonicity under nesting: shrinking an interval can only raise q
     for _ in range(2_000):
         a = _random_fraction(rng, 500)
@@ -181,7 +193,7 @@ def check_minden(
         outer = minden.Interval(a, b, True, True)
         inner = minden.Interval(a2, b2, False, False)
         res.check(
-            minden.min_denominator(inner) >= minden.min_denominator(outer),
+            "nesting", minden.min_denominator(inner) >= minden.min_denominator(outer),
             f"nesting violated for {inner} inside {outer}",
         )
     # reflection: the left-closed grid window mirrors a right-closed one
@@ -190,7 +202,8 @@ def check_minden(
             left = minden.min_denominator_grid(n, j, "half-open-left")
             right = minden.min_denominator_grid(n, n - j + 1, "half-open-right")
             res.check(
-                left == right, f"reflection fails at n={n}, j={j}: {left} != {right}"
+                "reflection", left == right,
+                f"reflection fails at n={n}, j={j}: {left} != {right}",
             )
     # variant ordering per window
     for n in range(1, min(max_n, 500) + 1):
@@ -198,10 +211,7 @@ def check_minden(
         q_default = minden.grid_denominators(n, "half-open-right")
         q_closed = minden.grid_denominators(n, "closed")
         res.check(
-            all(
-                o >= d >= c
-                for o, d, c in zip(q_open, q_default, q_closed)
-            ),
+            "window order", all(o >= d >= c for o, d, c in zip(q_open, q_default, q_closed)),
             f"variant ordering fails at n={n}",
         )
     # block solver against the scalar descent, window by window; the last n
@@ -209,6 +219,7 @@ def check_minden(
     for n in [*range(1, min(max_n, 200) + 1), 2 * minden.CHUNK + 1]:
         for variant in minden.VARIANT_FLAGS:
             res.check(
+                "grid = per-window",
                 minden.grid_denominators(n, variant)
                 == [
                     minden.min_denominator_grid(n, j, variant)
@@ -221,6 +232,7 @@ def check_minden(
         x = _random_fraction(rng, 1000)
         iv = minden.Interval(x, x, True, True)
         res.check(
+            "point interval",
             minden.min_denominator(iv) == x.denominator
             and minden.min_denominator(iv, "oracle") == x.denominator,
             f"point interval at {x}",
@@ -237,51 +249,47 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
         nu, xi, sigma = sums.per_k_tables(n)
         integral = sum(nu, Fraction(0))
         res.check(
-            integral == series[n],
+            "integral routes", integral == series[n],
             f"integral mismatch at n={n}: per-k {integral} vs incremental {series[n]}",
         )
         r_def = s - n * integral
         r_counts = sum(xi[1:], Fraction(0))
         res.check(
-            r_def == r_counts, f"R routes disagree at n={n}: {r_def} vs {r_counts}"
+            "R routes", r_def == r_counts, f"R routes disagree at n={n}: {r_def} vs {r_counts}"
         )
         parts = sums.remainder_parts(n)
-        res.check(r_def == -2 * parts.t, f"R != -2T at n={n}: {r_def} vs {parts.t}")
+        res.check("R = -2T", r_def == -2 * parts.t, f"R != -2T at n={n}: {r_def} vs {parts.t}")
+        res.check("T = T1 + T2", parts.t == parts.t1 + parts.t2, f"T != T1+T2 at n={n}")
+        res.check("T1 = T11 + T12", parts.t1 == parts.t11 + parts.t12, f"T1 != T11+T12 at n={n}")
         res.check(
-            parts.t == parts.t1 + parts.t2, f"T != T1+T2 at n={n}"
-        )
-        res.check(
-            parts.t1 == parts.t11 + parts.t12, f"T1 != T11+T12 at n={n}"
-        )
-        res.check(
-            sum(sigma[1:], Fraction(0)) == parts.t,
+            "sawtooth by order", sum(sigma[1:], Fraction(0)) == parts.t,
             f"sawtooth-by-order total != T at n={n}",
         )
         res.check(
-            sums.t11_leftover_sum(n) == 0, f"T11 leftover sum nonzero at n={n}"
+            "T11 leftover", sums.t11_leftover_sum(n) == 0, f"T11 leftover sum nonzero at n={n}"
         )
         groups = sums.t2_quotient_groups(n)
         res.check(
-            groups[2] == 0 and sum(groups.values(), Fraction(0)) == parts.t2,
+            "T2 groups", groups[2] == 0 and sum(groups.values(), Fraction(0)) == parts.t2,
             f"T2 quotient grouping fails at n={n}",
         )
         # S recovered from the order-count formula, no window queries involved
         s_counts = Fraction(n) + sum(
             (n * nu[k] + xi[k] for k in range(1, n + 1)), Fraction(0)
         )
-        res.check(s_counts == s, f"S via counts {s_counts} != {s} at n={n}")
+        res.check("S via counts", s_counts == s, f"S via counts {s_counts} != {s} at n={n}")
         if n <= theta_max_n:
             for k in range(n + 1):
                 direct = sum(1 for q in qs if q > k)
                 formula = n * nu[k] + xi[k] if k else Fraction(n)
                 res.check(
-                    formula == direct,
+                    "window count", formula == direct,
                     f"window count formula fails at n={n}, k={k}",
                 )
         if n <= 50:
             for k in range(1, n + 1):
                 res.check(
-                    xi[k] == -2 * sigma[k],
+                    "jump = -2 sawtooth", xi[k] == -2 * sigma[k],
                     f"per-order jump != -2 sawtooth at n={n}, k={k}",
                 )
     return res
@@ -294,19 +302,17 @@ def check_variants(max_n: int = 500) -> SuiteResult:
         s_left = sums.denominator_sum(n, "half-open-left")
         s_closed = sums.denominator_sum(n, "closed")
         s_open = sums.denominator_sum(n, "open")
-        res.check(s_left == s, f"left/right half-open sums differ at n={n}")
-        res.check(
-            s_closed <= s <= s_open, f"variant ordering fails at n={n}"
-        )
+        res.check("mirrored sum", s_left == s, f"left/right half-open sums differ at n={n}")
+        res.check("variant order", s_closed <= s <= s_open, f"variant ordering fails at n={n}")
         gap = sums.variant_gap(n, "upper")
         res.check(
-            s_open - s == gap,
+            "open gap", s_open - s == gap,
             f"open-variant gap {s_open - s} != divisor form {gap} at n={n}",
         )
         tau_n = expsums.divisor_count(n)
-        res.check(gap <= n * tau_n, f"gap {gap} > n tau(n) at n={n}")
+        res.check("gap <= n tau(n)", gap <= n * tau_n, f"gap {gap} > n tau(n) at n={n}")
         res.check(
-            sums.variant_gap(n, "lower") == s - s_closed,
+            "lower gap", sums.variant_gap(n, "lower") == s - s_closed,
             f"lower gap inconsistent at n={n}",
         )
     return res
@@ -366,22 +372,6 @@ def weighted_bound_grid(s: int, n: int, tail: float) -> np.ndarray:
     return np.nextafter(np.abs(num) / (4 * s), np.inf) <= w * tail + expsums.BOUND_SLACK
 
 
-def check_weighted_grid(res: SuiteResult, max_s: int) -> None:
-    """weighted_bound_grid for every s in 2..max_s and n in 1..max_s, starts a2-major."""
-    for s in range(2, max_s + 1):
-        tail = (
-            expsums.divisor_count(s)
-            * expsums.beta(s)
-            * math.log(s)
-            * math.sqrt(s)
-        )
-        for n in range(1, max_s + 1):
-            res.check_all(
-                weighted_bound_grid(s, n, tail),
-                lambda i: f"weighted bound fails at s={s}, n={n}, a={i // s}/2, w={i % s + 1}",
-            )
-
-
 def check_expsums(
     q_weil: int = 100,
     q_dft: int = 200,
@@ -401,7 +391,7 @@ def check_expsums(
         )
         back = expsums.idft(expsums.dft(f))
         res.check(
-            max(abs(back(n) - f(n)) for n in range(1, q + 1)) <= tol,
+            "round trip", max(abs(back(n) - f(n)) for n in range(1, q + 1)) <= tol,
             f"round-trip fails at q={q}",
         )
         if q >= 2 and q <= 128:
@@ -409,13 +399,13 @@ def check_expsums(
             odd = expsums.PeriodicFunction(q, tuple(_random_odd_values(q, rng)))
             even_hat, odd_hat = expsums.dft(even), expsums.dft(odd)
             res.check(
-                even_hat.is_even(tol)
-                and max(abs(v.imag) for v in even_hat.values) <= tol,
+                "even transform",
+                even_hat.is_even(tol) and max(abs(v.imag) for v in even_hat.values) <= tol,
                 f"even transform not even real at q={q}",
             )
             res.check(
-                odd_hat.is_odd(tol)
-                and max(abs(v.real) for v in odd_hat.values) <= tol,
+                "odd transform",
+                odd_hat.is_odd(tol) and max(abs(v.real) for v in odd_hat.values) <= tol,
                 f"odd transform not odd imaginary at q={q}",
             )
 
@@ -433,14 +423,17 @@ def check_expsums(
             ("idft", expsums.idft(f).values, roots @ values / q),
         ):
             worst = float(np.abs(np.array(got) - want).max())
-            res.check(worst <= 64 * q * EPS, f"{name} off the direct sum by {worst} at q={q}")
+            res.check(
+                "fft = direct", worst <= 64 * q * EPS,
+                f"{name} off the direct sum by {worst} at q={q}",
+            )
 
     # Kloosterman: realness, Weil bound, Ramanujan specialization and evenness
     for q in range(1, q_weil + 1):
         try:
             table = expsums.kloosterman_table(q)
         except ArithmeticError as exc:
-            res.fail(f"kloosterman table q={q}: {exc}")
+            res.fail("weil", f"kloosterman table q={q}: {exc}")
             continue
         ar = np.arange(q)
         bound = (
@@ -449,21 +442,18 @@ def check_expsums(
             * math.sqrt(q)
         )
         res.check(
-            bool((np.abs(table) <= bound + 1e-9).all()),
+            "weil", bool((np.abs(table) <= bound + 1e-9).all()),
             f"Weil bound fails at q={q}",
         )
         res.check(
-            bool(
-                np.allclose(table[:, 0], table[:, 0][np.r_[0, q - 1 : 0 : -1]], atol=1e-9)
-            )
-            if q > 1
-            else True,
+            "ramanujan evenness",
+            q == 1 or np.allclose(table[:, 0], table[:, 0][np.r_[0, q - 1 : 0 : -1]], atol=1e-9),
             f"Ramanujan evenness fails at q={q}",
         )
         if q <= 50:
             for a in range(q):
                 res.check(
-                    abs(expsums.ramanujan(a, q) - table[a, 0]) < 1e-9,
+                    "ramanujan", abs(expsums.ramanujan(a, q) - table[a, 0]) < 1e-9,
                     f"ramanujan({a}, {q}) != K({a}, 0; {q})",
                 )
         # the table against the scalar sum: every entry up to q = 30, then 8
@@ -476,6 +466,7 @@ def check_expsums(
             entries += [(fft_rng.randrange(q), fft_rng.randrange(q)) for _ in range(7)]
         for a, b in entries:
             res.check(
+                "kloosterman table",
                 abs(table[a, b] - expsums.kloosterman(a, b, q)) <= 64 * q * EPS,
                 f"kloosterman_table({q})[{a}, {b}] != K({a}, {b}; {q})",
             )
@@ -486,15 +477,15 @@ def check_expsums(
         worst = max(
             abs(f_hat(x) - expsums.b1_hat_closed(x, q)) for x in range(1, q + 1)
         )
-        res.check(worst < 1e-9, f"sawtooth transform mismatch {worst} at q={q}")
+        res.check("b1 transform", worst < 1e-9, f"sawtooth transform mismatch {worst} at q={q}")
         if q >= 2:
             total = sum(abs(f_hat(y)) for y in range(1, q))
             res.check(
-                total <= q * math.log(q) / 2 + expsums.BOUND_SLACK,
+                "transform sum bound", total <= q * math.log(q) / 2 + expsums.BOUND_SLACK,
                 f"transform sum bound fails at q={q}",
             )
         res.check(
-            expsums.twisted_b1_sum(1, q, q, rng.randint(1, q)) == 0,
+            "full-period twisted", expsums.twisted_b1_sum(1, q, q, rng.randint(1, q)) == 0,
             f"full-period twisted sum nonzero at q={q}",
         )
 
@@ -513,7 +504,7 @@ def check_expsums(
             # max over subintervals [l, h] of |sum| equals the prefix spread
             lhs = Fraction(hi_acc - lo_acc, 2 * q)
             res.check(
-                expsums.exact_within_bound(lhs, bound),
+                "twisted", expsums.exact_within_bound(lhs, bound),
                 f"twisted bound fails at q={q}, n={n}",
             )
     # spot the same bound through the public interval interface
@@ -523,11 +514,23 @@ def check_expsums(
         lo = rng.randint(1, q)
         hi = rng.randint(lo, q)
         res.check(
-            expsums.twisted_b1_bound_check(lo, hi, q, n),
+            "twisted spot", expsums.twisted_b1_bound_check(lo, hi, q, n),
             f"twisted bound check fails at q={q}, n={n}, [{lo},{hi}]",
         )
 
-    check_weighted_grid(res, s_weighted)
+    # weighted_bound_grid for every s <= s_weighted and n <= s_weighted, starts a2-major
+    for s in range(2, s_weighted + 1):
+        tail = (
+            expsums.divisor_count(s)
+            * expsums.beta(s)
+            * math.log(s)
+            * math.sqrt(s)
+        )
+        for n in range(1, s_weighted + 1):
+            res.check_all(
+                "weighted", weighted_bound_grid(s, n, tail),
+                lambda i: f"weighted bound fails at s={s}, n={n}, a={i // s}/2, w={i % s + 1}",
+            )
     # spot-check the prefix evaluation against the public function
     for _ in range(200):
         s = rng.randint(2, 30)
@@ -535,7 +538,7 @@ def check_expsums(
         a = Fraction(rng.randint(0, 2 * s), 2)
         w = rng.randint(1, s)
         res.check(
-            expsums.weighted_b1_bound_check(s, a, a + w, n),
+            "weighted spot", expsums.weighted_b1_bound_check(s, a, a + w, n),
             f"weighted bound check fails at s={s}, a={a}, w={w}, n={n}",
         )
 
@@ -547,7 +550,7 @@ def check_expsums(
             fns.append(expsums.PeriodicFunction(q, tuple(_random_odd_values(q, rng))))
         for f in fns:
             if not f.is_odd(1e-12):
-                res.fail(f"odd test function construction broken at q={q}")
+                res.fail("odd-function bound", f"odd test function construction broken at q={q}")
                 continue
             f_hat = expsums.dft(f)
             rhs = scale * sum(abs(f_hat(y)) for y in range(1, q))
@@ -559,17 +562,17 @@ def check_expsums(
                         acc += f(n * pow(m, -1, q)).real
                     lo_acc, hi_acc = min(lo_acc, acc), max(hi_acc, acc)
                 res.check(
-                    hi_acc - lo_acc <= rhs + 1e-9,
+                    "odd-function bound", hi_acc - lo_acc <= rhs + 1e-9,
                     f"odd-function bound fails at q={q}, n={n}",
                 )
 
     # geometric sums against the sine bound
     res.check(
-        expsums.geometric_sum_bound_check(0, 1, Fraction(1, 2)),
+        "geometric", expsums.geometric_sum_bound_check(0, 1, Fraction(1, 2)),
         "geometric bound fails on the two-term cancellation",
     )
     res.check(
-        expsums.geometric_sum_bound_check(0, 9, Fraction(1, 3)),
+        "geometric", expsums.geometric_sum_bound_check(0, 9, Fraction(1, 3)),
         "geometric bound fails on [0, 9] at 1/3",
     )
     for _ in range(1_000):
@@ -577,6 +580,7 @@ def check_expsums(
         num = rng.randint(1, den - 1)
         lo = rng.randint(-1000, 1000)
         res.check(
+            "geometric",
             expsums.geometric_sum_bound_check(lo, lo + rng.randint(0, 300), Fraction(num, den)),
             f"geometric bound fails at alpha={num}/{den}",
         )
@@ -585,7 +589,7 @@ def check_expsums(
     for q in range(2, 501):
         total = sum(1 / math.sin(math.pi * m / q) for m in range(1, q))
         res.check(
-            total <= q * math.log(q),
+            "cosecant", total <= q * math.log(q),
             f"cosecant comparison sum exceeds q log q at q={q}",
         )
     return res

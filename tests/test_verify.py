@@ -94,19 +94,31 @@ def test_check_all_matches_check_loop(seed):
     rng = random.Random(seed)
     bulk, loop = verify.SuiteResult("bulk"), verify.SuiteResult("loop")
     if seed % 2:  # an earlier failure must keep its place as the first
-        bulk.fail("earlier")
-        loop.fail("earlier")
+        bulk.fail("a", "earlier")
+        loop.fail("a", "earlier")
     for _ in range(4):
+        name = rng.choice("ab")
         size = rng.randint(0, 50)
         ok = np.array([rng.random() < 0.9 for _ in range(size)], dtype=bool).reshape(-1, 1)
-        bulk.check_all(ok, lambda i, size=size: f"element {i} of {size}")
+        bulk.check_all(name, ok, lambda i, size=size: f"element {i} of {size}")
         for i, cond in enumerate(ok.ravel()):
-            loop.check(bool(cond), f"element {i} of {size}")
+            loop.check(name, bool(cond), f"element {i} of {size}")
     assert (bulk.passed, bulk.failed, bulk.first_failure) == (
         loop.passed,
         loop.failed,
         loop.first_failure,
     )
+    # an empty array registers its name with no checks; a loop over it never runs
+    assert {k: t for k, t in bulk.checks.items() if t.passed + t.failed} == loop.checks
+
+
+@pytest.mark.parametrize("suite", [name for name in verify.SUITE_NAMES if name != "all"])
+def test_tallies_add_up_to_the_suite(suite):
+    res = verify.run_suite(suite, 20)
+    tallies = res.checks.values()
+    assert res.passed == sum(t.passed for t in tallies)
+    assert res.failed == sum(t.failed for t in tallies)
+    assert res.first_failure in ([t.first_failure for t in tallies if t.failed] or [None])
 
 
 def test_check_farey_catches_a_dropped_fraction(monkeypatch):
