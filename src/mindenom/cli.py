@@ -105,6 +105,12 @@ def sweep_rows(
     series = None
     if grid and grid[0] <= budget:
         series = sums.window_integral_series(min(stop, budget))
+    # every float integral of the sweep from one pass over the blocks of its largest N
+    floats = iter(
+        sums.window_integral_floats(
+            [n for n in grid if series is None or n > budget]
+        )
+    )
     rows = []
     for n in grid:
         s = sums.denominator_sum(n, variant)
@@ -118,7 +124,7 @@ def sweep_rows(
                 r = s - n * exact
                 r_over_bound = abs(float(r)) / (n ** (4 / 3) * math.log(n) ** 2)
         else:
-            integral = sums.window_integral_float(n)
+            integral = next(floats)
         rows.append(
             SweepRow(
                 n=n,

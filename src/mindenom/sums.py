@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -303,17 +303,38 @@ def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
 def window_integral_float(n: int) -> float:
     """Float approximation of window_integral for grid sizes past the exact budget.
 
-    The same W = 1 + P - Q/n, summed block by block: each block adds
-    2 (sum 1/L - a |block| / n) for its pairs (a, L) and (L, a).
+    window_integral_floats([n])[0]; see there for the order of the sums.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    total = 2.0 - 1.0 / n  # k = 0 term plus the (1, 1) pair
-    for a, big in coprime_blocks(n):
-        total += 2.0 * (
-            float(np.reciprocal(big.astype(np.float64)).sum()) - a * big.size / n
-        )
-    return total
+    return window_integral_floats([n])[0]
+
+
+def window_integral_floats(ns: Sequence[int]) -> list[float]:
+    """window_integral_float(n) for each n of ns, in order, from one pass over the blocks.
+
+    The same W = 1 + P - Q/n, summed block by block in the order a = 1, 2, ...:
+    each block of n adds 2 (sum 1/L - a |block| / n) for its pairs (a, L) and
+    (L, a).  Only the blocks of max(ns) are built.  The block a of n is the
+    prefix L <= n // a of the block a of max(ns), so its reciprocals are a
+    prefix of the larger block's, the same values in the same order, and a
+    contiguous float64 sum depends only on those values and the length.  So
+    every total is bit for bit what a pass over the blocks of n alone gives.
+    Each block is dropped before the next is built: the peak is the a = 1
+    block of max(ns), 8 bytes each for the int64 L and for its reciprocals.
+    """
+    ns = list(ns)
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"grid size must be >= 1, got {n}")
+    totals = [2.0 - 1.0 / n for n in ns]  # k = 0 term plus the (1, 1) pair
+    for a, big in coprime_blocks(max(ns, default=0)):
+        recip = big.astype(np.float64)
+        np.reciprocal(recip, out=recip)
+        for i, n in enumerate(ns):
+            if a * a <= n:
+                m = int(big.searchsorted(n // a, "right"))
+                totals[i] += 2.0 * (float(recip[:m].sum()) - a * m / n)
+        del big, recip
+    return totals
 
 
 def remainder(n: int, method: str = "definition") -> Fraction:
@@ -474,7 +495,12 @@ def chen_haynes_residual(n: int, integral_value: float) -> float:
 
 
 def sum_report(n: int) -> SumReport:
-    """Exact-path report: all four variant sums, the integral, R and its sawtooth parts."""
+    """Exact-path report: all four variant sums, the integral, R and its sawtooth parts.
+
+    The half-open-left sum is S itself: the reflection t -> 1 - t maps the
+    windows of one variant onto those of the other (verify.check_variants
+    still computes it directly).
+    """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     s = denominator_sum(n)
@@ -489,7 +515,7 @@ def sum_report(n: int) -> SumReport:
         n=n,
         s=s,
         s_closed=denominator_sum(n, "closed"),
-        s_half_open_left=denominator_sum(n, "half-open-left"),
+        s_half_open_left=s,
         s_open=denominator_sum(n, "open"),
         integral=integral,
         r=r,

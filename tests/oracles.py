@@ -4,11 +4,15 @@ Everything here is written straight from the definitions and shares no code
 with the library: Farey sequences by enumerate-and-sort, minimal denominators
 by scanning q = 1, 2, ..., distribution quantities by summing over the
 brute-force sequence, transforms by literal cmath sums.  Slow on purpose.
+The gcd-filter block kernel and the per-n float integral over it are the
+earlier library code, kept as references for their replacements.
 """
 
 import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def farey_brute(k):
@@ -24,6 +28,25 @@ def coprime_pairs_brute(n):
         for s in range(1, n // r + 1)
         if math.gcd(r, s) == 1
     }
+
+
+def coprime_blocks_gcd(n):
+    """The blocks (a, L) of farey.coprime_blocks, each by filtering a+1..n//a with gcd."""
+    for a in range(1, math.isqrt(n) + 1):
+        big = np.arange(a + 1, n // a + 1, dtype=np.int64)
+        if a > 1:
+            big = big[np.gcd(big, a) == 1]
+        yield a, big
+
+
+def window_integral_float_gcd(n):
+    """The float W(n) = 1 + P - Q/n over the blocks of n alone, in block order."""
+    total = 2.0 - 1.0 / n
+    for a, big in coprime_blocks_gcd(n):
+        total += 2.0 * (
+            float(np.reciprocal(big.astype(np.float64)).sum()) - a * big.size / n
+        )
+    return total
 
 
 def contains(x, lo, hi, lo_closed, hi_closed):

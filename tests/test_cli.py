@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,18 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
         )
         assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_sweep_matches_golden_csv(tmp_path, capsys):
+    # the headline 2^20 sweep, byte for byte as recorded in the benchmark
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden_sweep.csv"
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--from", "1", "--to", "1048576", "--factor", "2",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_sweep_unwritable_path(capsys):

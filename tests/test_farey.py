@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mindenom import farey
 
-from oracles import coprime_pairs_brute, farey_brute
+from oracles import coprime_blocks_gcd, coprime_pairs_brute, farey_brute
 
 
 def test_inv_mod_examples():
@@ -171,6 +171,26 @@ def test_coprime_pairs_enumeration():
             got += [(a, int(b)) for b in big] + [(int(b), a) for b in big]
         assert len(got) == len(set(got))
         assert set(got) == coprime_pairs_brute(n)
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [
+        range(1, 301),
+        [k * k + d for k in (*range(2, 60), 1024) for d in (-1, 0, 1)],
+        [2**16, 2**20],
+    ],
+    ids=["1..300", "squares", "2^16,2^20"],
+)
+def test_coprime_blocks_match_gcd_filter(ns):
+    # the sieved unit rows give the gcd filter's arrays: values, dtype, order
+    for n in ns:
+        got = list(farey.coprime_blocks(n))
+        want = list(coprime_blocks_gcd(n))
+        assert [a for a, _ in got] == [a for a, _ in want]
+        for (a, big), (_, ref) in zip(got, want):
+            assert big.dtype == ref.dtype == np.int64
+            assert np.array_equal(big, ref), (n, a)
 
 
 def test_block_inverses():

@@ -126,6 +126,44 @@ def test_window_integral_float_at_budget_switch(n):
     assert abs(sums.window_integral_float(n) - exact) <= 1e-13 * exact
 
 
+@pytest.mark.parametrize(
+    "ns",
+    [
+        [2**k for k in range(11, 21)],
+        list(range(2001, 2401)),
+        [5000, 3, 77, 5000, 1, 2**17, 3, 12345],
+    ],
+    ids=["2^11..2^20", "2001..2400", "unsorted"],
+)
+def test_window_integral_floats_bit_identical(ns):
+    # one pass over the blocks of max(ns) gives each n's own pass, bit for bit
+    assert sums.window_integral_floats(ns) == [
+        oracles.window_integral_float_gcd(n) for n in ns
+    ]
+
+
+def test_window_integral_floats_edges():
+    assert sums.window_integral_floats([]) == []
+    assert sums.window_integral_float(2**12) == sums.window_integral_floats([2**12])[0]
+    with pytest.raises(ValueError):
+        sums.window_integral_floats([5, 0])
+
+
+def test_window_integral_floats_memory_is_bounded():
+    # one block of 2**20 at a time, its reciprocals taken in place: the a = 1
+    # block is 8 MiB of int64 plus 8 MiB of float64 (24 MiB with a separate
+    # reciprocal array, as the per-n route had)
+    ns = [2**k for k in range(11, 21)]
+    sums.window_integral_floats([64])  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        sums.window_integral_floats(ns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 def test_first_hit_matches_order_by_order_rule():
     # the orders k with s * t > n (t the next denominator) are [k*, r + s)
     for n in range(1, 80):
