@@ -144,7 +144,6 @@ def test_window_integral_floats_bit_identical(ns):
 
 def test_window_integral_floats_edges():
     assert sums.window_integral_floats([]) == []
-    assert sums.window_integral_float(2**12) == sums.window_integral_floats([2**12])[0]
     with pytest.raises(ValueError):
         sums.window_integral_floats([5, 0])
 
