@@ -60,9 +60,7 @@ class SweepRow:
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
         raise TypeError("no boolean report fields")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
@@ -102,21 +100,17 @@ def sweep_rows(
             "the int64 limit of the grid solver"
         )
     grid = list(_grid(start, stop, step, factor))
-    series = None
-    if grid and grid[0] <= budget:
-        series = sums.window_integral_series(min(stop, budget))
-    # every float integral of the sweep from one pass over the blocks of its largest N
-    floats = iter(
-        sums.window_integral_floats(
-            [n for n in grid if series is None or n > budget]
-        )
-    )
+    exact_ns = [n for n in grid if n <= budget]
+    # the exact series up to the last exact row, and every float integral of
+    # the sweep from one pass over the blocks of its largest N
+    series = sums.window_integral_series(exact_ns[-1]) if exact_ns else None
+    floats = iter(sums.window_integral_floats(grid[len(exact_ns) :]))
     rows = []
     for n in grid:
         s = sums.denominator_sum(n, variant)
         ratio = s / n**1.5
         r_over_bound = None
-        if series is not None and n <= budget:
+        if n <= budget:
             exact = series[n]
             integral = float(exact)
             if variant == DEFAULT_VARIANT and n >= 2:

@@ -73,29 +73,26 @@ def next_denominator(k: int, r: int, s: int) -> int:
         raise ValueError(f"denominators must be coprime, got ({r}, {s})")
     if not max(r, s) <= k < r + s:
         raise ValueError(f"({r}, {s}) is not an adjacent pair at order {k}")
-    return _next(k, r, s)
-
-
-def _next(k: int, r: int, s: int) -> int:
-    """next_denominator without its checks, for walks that keep them by construction."""
     return s * ((k + r) // s) - r
 
 
 def farey_sequence(k: int) -> list[Fraction]:
     """Ascending list of reduced fractions in [0, 1] with denominator <= k.
 
-    Runs the denominator recurrence from the initial pair (1, k); numerators
-    come from inv_mod, so no sorting or gcd filtering is involved.
+    Runs the recurrence from 0/1, 1/k: after a/r < b/s comes
+    (j b - a)/(j s - r) with j = floor((k + r)/s), numerators and
+    denominators alike, so no inverse, sorting or gcd filtering is involved.
     """
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     seq = [Fraction(0)]
-    r, s = 1, k
+    a, r, b, s = 0, 1, 1, k
     while True:
-        seq.append(Fraction(inv_mod(r, s), s))
+        seq.append(Fraction(b, s))
         if s == 1:
             return seq
-        r, s = s, _next(k, r, s)
+        j = (k + r) // s
+        a, r, b, s = b, s, j * b - a, j * s - r
 
 
 def adjacent_pairs(k: int) -> list[AdjacentPair]:
@@ -111,7 +108,7 @@ def adjacent_pairs(k: int) -> list[AdjacentPair]:
         pairs.append(AdjacentPair(r, s, k))
         if s == 1:
             return pairs
-        r, s = s, _next(k, r, s)
+        r, s = s, s * ((k + r) // s) - r  # next_denominator, unchecked
 
 
 def totient_sieve(limit: int) -> list[int]:

@@ -13,7 +13,7 @@ q >= 1 such that E contains a fraction p/q.  Two algorithms are provided:
   Euclidean algorithm on the endpoints, O(log max denominator) arithmetic ops.
 
 * "oracle": scan q = 1, 2, 3, ... and count reduced fractions with
-  denominator q inside E via ceil_count.  Termination is guaranteed because
+  denominator q inside E via ceil_count_hits.  Termination is guaranteed because
   q(E) <= ceil(1/length(E)) + 1 for any nonempty interval, but the scan is
   only suitable for testing.
 
@@ -166,34 +166,23 @@ def min_denominator(interval: Interval, algo: str = "fast") -> int:
         return _min_denominator_scan(interval)
     if algo != "fast":
         raise ValueError(f"unknown algorithm {algo!r}")
-    lo, hi = interval.lo, interval.hi
-    if lo == hi:
-        return lo.denominator
-    _, q = _simplest_in(
-        lo.numerator,
-        lo.denominator,
-        not interval.lo_closed,
-        hi.numerator,
-        hi.denominator,
-        not interval.hi_closed,
-    )
-    return q
+    return _simplest(interval)[1]
 
 
 def min_fraction(interval: Interval) -> Fraction:
     """The fraction of minimal denominator in the interval (leftmost if denominator 1)."""
+    return Fraction(*_simplest(interval))
+
+
+def _simplest(interval: Interval) -> tuple[int, int]:
+    """(p, q) of min_fraction(interval), by the descent; a point a/b gives (a, b)."""
     lo, hi = interval.lo, interval.hi
     if lo == hi:
-        return lo
-    p, q = _simplest_in(
-        lo.numerator,
-        lo.denominator,
-        not interval.lo_closed,
-        hi.numerator,
-        hi.denominator,
-        not interval.hi_closed,
+        return lo.numerator, lo.denominator
+    return _simplest_in(
+        lo.numerator, lo.denominator, not interval.lo_closed,
+        hi.numerator, hi.denominator, not interval.hi_closed,
     )
-    return Fraction(p, q)
 
 
 def min_denominator_window(t: Rational, delta: Rational, algo: str = "fast") -> int:

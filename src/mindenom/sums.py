@@ -24,16 +24,18 @@ The quantities provided, all exact rationals unless stated otherwise:
   all-closed instead of half-open.
 
 Single-k functions walk the pairs adjacent at order k and serve as
-independent references.  The bulk path (per_k_tables, remainder_parts, the
-window_integral routes) takes every pair from the block kernel
-farey.coprime_blocks.  The integral is W(n) = 1 + P - Q/n with P and Q the
-sums of 1/max(r, s) and min(r, s) over the pairs; the orders at which a pair
-sees a following gap below 1/n form one suffix of its adjacency range, found
-in closed form by _first_hit; exact sums add int64 numerators per
-denominator before any big-integer arithmetic.  S(n) and the direct window
-count add up the int64 blocks of minden.grid_blocks, never a list of all n
-denominators.  The int64 limits are PAIRS_MAX_N for the pair sums and
-PER_K_MAX_N for per_k_tables; larger n raise OverflowError up front.
+independent references.  Every bulk sum takes its pairs from the block
+kernel farey.coprime_blocks.  The integral W(n) = 1 + P - Q/n (P and Q sum
+1/max(r, s) and min(r, s), per product r s in _min_sums) and variant_gap
+read the blocks alone; the sawtooth sums per_k_tables, remainder_parts,
+t11_leftover_sum and t2_quotient_groups read _pairs, which adds inverses.
+The orders at which a pair sees a following gap below 1/n form one suffix
+of its adjacency range, found in closed form by _first_hit; exact sums add
+int64 numerators per denominator before any big-integer arithmetic.  S(n)
+and the direct window count add up the int64 blocks of minden.grid_blocks,
+never a list of all n denominators.  PAIRS_MAX_N (pair sums) and
+PER_K_MAX_N (per_k_tables) are the int64 limits; larger n raise
+OverflowError up front.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .minden import Variant, grid_blocks
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
 
 INT64_MAX = 2**63 - 1
-#: Largest n for _pairs: its callers' b1 numerators n*u reach n*s <= n^2.
+#: Largest n for the pair sums: the b1 numerators n*u over _pairs reach n*s <= n^2.
 PAIRS_MAX_N = math.isqrt(INT64_MAX)
 #: Largest n for per_k_tables: its bucket keys reach (3n + 5)(2n + 1) + 2n
 #: = 6n^2 + 15n + 5, so (12n + 15)^2 <= 24 INT64_MAX + 105.
@@ -153,7 +155,10 @@ def sawtooth_gap_sum(n: int, k: int) -> Fraction:
     return total
 
 
-def _check_int64(n: int, limit: int, what: str) -> None:
+def _check_size(n: int, limit: int, what: str) -> None:
+    """ValueError for n < 1, OverflowError for n > limit, the int64 limit of what."""
+    if n < 1:
+        raise ValueError(f"grid size must be >= 1, got {n}")
     if n > limit:
         raise OverflowError(
             f"grid size {n} exceeds {limit}, the int64 limit of {what}"
@@ -164,9 +169,9 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every ordered coprime pair with r s <= n as int64 arrays (r, s, u), (1, 1) first.
 
     u = inv(r, s) in 1..s, the numerator of the right fraction u/s of the pair.
-    Raises OverflowError for n > PAIRS_MAX_N.
+    Raises ValueError for n < 1 and OverflowError for n > PAIRS_MAX_N.
     """
-    _check_int64(n, PAIRS_MAX_N, "the pair sums")
+    _check_size(n, PAIRS_MAX_N, "the pair sums")
     r, s, u = ([np.ones(1, dtype=np.int64)] for _ in range(3))
     for a, big in coprime_blocks(n):
         small = np.full(big.size, a, dtype=np.int64)
@@ -236,9 +241,7 @@ def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]
     starts and leaves it where the range ends.  Raises OverflowError for
     n > PER_K_MAX_N.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    _check_int64(n, PER_K_MAX_N, "per_k_tables")
+    _check_size(n, PER_K_MAX_N, "per_k_tables")
     r, s, u = _pairs(n)
     v = (1 + r * s - r * u) // s  # inv(s, r), from r u + s v = 1 + r s
     first, stop = np.maximum(r, s), r + s
@@ -267,17 +270,24 @@ def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]
     return nu, xi, sigma
 
 
+def _min_sums(n: int) -> np.ndarray:
+    """c[m] = sum of min(r, s) over the coprime pairs with r s = m, m = 0..n; no inverses."""
+    _check_size(n, PAIRS_MAX_N, "the pair sums")
+    c = np.zeros(n + 1, dtype=np.int64)
+    c[1] = 1  # the pair (1, 1)
+    for a, big in coprime_blocks(n):
+        c[a * big] += 2 * a  # (a, L) and (L, a)
+    return c
+
+
 def window_integral(n: int) -> Fraction:
     """Integral of q(]t - 1/n, t]) over t in ]0, 1], exactly: sum of measure_above over k.
 
     Summing min(r, s) (1/(r s) - 1/n) over the pairs gives W = 1 + P - Q/n
     with P = sum min(r, s)/(r s) = sum 1/max(r, s) and Q = sum min(r, s).
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    r, s, _ = _pairs(n)
-    low = np.minimum(r, s)
-    return 1 + _fraction_sums(r * s, low)[0] - Fraction(int(low.sum()), n)
+    c = _min_sums(n)[1:]
+    return 1 + _fraction_sums(np.arange(1, n + 1), c)[0] - Fraction(int(c.sum()), n)
 
 
 def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
@@ -286,14 +296,9 @@ def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
     W(n) = 1 + P(n) - Q(n)/n as in window_integral; step n adds the pairs
     with r s = n, whose min(r, s) sum to c[n], as c[n]/n to P and c[n] to Q.
     """
-    if max_n < 1:
-        raise ValueError(f"grid size must be >= 1, got {max_n}")
-    r, s, _ = _pairs(max_n)
-    c = np.zeros(max_n + 1, dtype=np.int64)
-    np.add.at(c, r * s, np.minimum(r, s))
     out: list[Optional[Fraction]] = [None]
     p_acc, q_acc = Fraction(0), 0
-    for n, c_n in enumerate(c.tolist()[1:], start=1):
+    for n, c_n in enumerate(_min_sums(max_n).tolist()[1:], start=1):
         p_acc += Fraction(c_n, n)
         q_acc += c_n
         out.append(1 + p_acc - Fraction(q_acc, n))
@@ -375,8 +380,6 @@ def remainder_parts(n: int) -> RemainderParts:
     r s <= n, weighted by how many orders k the pair stays adjacent while the
     following gap is already below 1/n.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
     r, s, u = _pairs(n)
     b1_num = _b1_numerators(n, s, u)
     hits = np.maximum(0, r + s - _first_hit(n, r, s))
@@ -409,30 +412,20 @@ def t11_leftover_sum(n: int) -> Fraction:
 def t2_quotient_groups(n: int) -> dict[int, Fraction]:
     """T2 regrouped by the quotient j = floor((k + r) / s), as {j: subtotal}.
 
-    The subtotals sum to remainder_parts(n).t2 and the j = 2 group is empty:
-    it would need s < r <= s.  Groups are returned for every j that collects
-    at least one pair, plus j = 2 with an explicit zero.
+    A pair with r > s can hit (s t > n, t = j s - r) only at j = ceil(2r / s),
+    for 2r - (j - 1) s orders k; at smaller j, t <= r.  The subtotals sum to
+    remainder_parts(n).t2; j = 2 comes first, an explicit zero (it would need
+    s < r <= s), then every j with a nonzero subtotal in increasing order.
+    With r > s, 2s < 2 sqrt(n) and j <= 2n, so the int64 bucket keys stay
+    below (2n + 1)(2 sqrt(n) + 1) < 2^50 for n <= PAIRS_MAX_N.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    groups: dict[int, Fraction] = {2: Fraction(0)}
-    for j in range(2, 2 * n + 1):
-        subtotal = Fraction(0)
-        s = 1
-        while (j - 1) * s * s < 2 * n:  # r > (j-1)s/2 and r s <= n need this
-            r_lo = (j - 1) * s // 2 + 1
-            r_hi = min(j * s // 2, n // s)
-            for r in range(max(r_lo, s + 1), r_hi + 1):
-                if s * (j * s - r) <= n:
-                    continue
-                if math.gcd(r, s) == 1:
-                    subtotal += (2 * r - (j - 1) * s) * b1_residue(
-                        n * inv_mod(r, s), s
-                    )
-            s += 1
-        if subtotal or j == 2:
-            groups[j] = subtotal
-    return groups
+    r, s, u = _pairs(n)
+    above = r > s
+    r, s, u = r[above], s[above], u[above]
+    j = (2 * r + s - 1) // s
+    weight = np.where(s * (j * s - r) > n, 2 * r - (j - 1) * s, 0)
+    totals = _fraction_sums(2 * s, weight * _b1_numerators(n, s, u), j, int(j.max(initial=2)) + 1)
+    return {q: total for q, total in enumerate(totals) if total or q == 2}
 
 
 def variant_gap(n: int, which: str = "upper") -> int:
@@ -446,25 +439,14 @@ def variant_gap(n: int, which: str = "upper") -> int:
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     if which == "upper":
-        total = 0
-        for s in _divisors(n):
-            for r in range(1, n // s + 1):
-                if math.gcd(r, s) == 1:
-                    total += min(r, s)
-        return total
+        # (1, 1), then per block (a, L) with s = L and (L, a) with s = a
+        return 1 + sum(
+            a * (int(np.count_nonzero(n % big == 0)) + (n % a == 0) * big.size)
+            for a, big in coprime_blocks(n)
+        )
     if which != "lower":
         raise ValueError(f"unknown side {which!r}")
     return denominator_sum(n) - denominator_sum(n, "closed")
-
-
-def _divisors(n: int):
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            if d * d != n:
-                yield n // d
-        d += 1
 
 
 class SumReport(NamedTuple):

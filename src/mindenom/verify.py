@@ -349,6 +349,29 @@ def _random_even_values(q: int, rng: random.Random) -> list[float]:
 WEIGHTED_GRID_MAX_S = 2**16
 
 
+def _inverted_values(table: np.ndarray, n, r: np.ndarray) -> np.ndarray:
+    """table[n inv(r, s) mod s] at the units r mod s = len(table), 0 at the other r.
+
+    n is an int or an int64 array that broadcasts against r.
+    """
+    s = len(table)
+    inv = np.array([pow(u, -1, s) if math.gcd(u, s) == 1 else 0 for u in range(s)])
+    # n inv(r) mod s depends only on n mod s; reducing first keeps any int n in int64
+    return np.where(np.gcd(r, s) == 1, table[n % s * inv[r % s] % s], 0)
+
+
+def _inverted_spreads(table: np.ndarray) -> np.ndarray:
+    """Per n = 1..q, q = len(table): max - min of the prefix sums over m = 0..q.
+
+    The prefix sums are those of _inverted_values(table, n, m); their spread
+    is the largest |sum| over the units m of any interval [l, h].
+    The sums run in order of m, so a float table gives a scalar loop's values.
+    """
+    q = len(table)
+    prefix = np.cumsum(_inverted_values(table, np.arange(1, q + 1)[:, None], np.arange(q + 1)), 1)
+    return prefix.max(axis=1) - prefix.min(axis=1)
+
+
 def weighted_bound_grid(s: int, n: int, tail: float) -> np.ndarray:
     """The weighted sawtooth bound at every start a2/2 and width w, as a (2s, s) bool array.
 
@@ -362,14 +385,8 @@ def weighted_bound_grid(s: int, n: int, tail: float) -> np.ndarray:
     """
     if not 1 <= s <= WEIGHTED_GRID_MAX_S:
         raise ValueError(f"s must be in 1..{WEIGHTED_GRID_MAX_S}, got {s}")
-    # inverses mod s, 0 at non-units, so v vanishes there and where s | n
-    inv = np.array(
-        [pow(u, -1, s) if math.gcd(u, s) == 1 else 0 for u in range(s)], dtype=np.int64
-    )
     r = np.arange(3 * s + 1, dtype=np.int64)
-    # e depends only on n mod s; reducing first keeps any int n inside int64
-    e = n % s * inv[r % s] % s
-    v = np.where(e > 0, 2 * e - s, 0)
+    v = _inverted_values(np.r_[0, 2 * np.arange(1, s) - s], n, r)  # 2s b1(x / s) at x
     pu, pru = np.cumsum(v), np.cumsum(r * v)
     a2 = np.arange(2 * s)[:, None]
     w = np.arange(1, s + 1)
@@ -498,22 +515,14 @@ def check_expsums(
 
     # twisted sawtooth bound, exhaustively over all subintervals via prefix extremes
     for q in range(2, q_twisted + 1):
-        bound = expsums.twisted_b1_bound(q)
-        invs = [pow(m, -1, q) if math.gcd(m, q) == 1 else -1 for m in range(q + 1)]
-        for n in range(1, q + 1):
-            acc = 0
-            lo_acc, hi_acc = 0, 0
-            for m in range(1, q + 1):
-                if invs[m] >= 0:
-                    e = n * invs[m] % q
-                    acc += 2 * e - q if e else 0
-                lo_acc, hi_acc = min(lo_acc, acc), max(hi_acc, acc)
-            # max over subintervals [l, h] of |sum| equals the prefix spread
-            lhs = Fraction(hi_acc - lo_acc, 2 * q)
-            res.check(
-                "twisted", expsums.exact_within_bound(lhs, bound),
-                f"twisted bound fails at q={q}, n={n}",
-            )
+        # the spread is an exact integer, so spread / 2q is the float of the Fraction
+        spread = _inverted_spreads(np.r_[0, 2 * np.arange(1, q) - q])  # 2q b1(x / q) at x
+        res.check_all(
+            "twisted",
+            np.nextafter(spread / (2 * q), np.inf)
+            <= expsums.twisted_b1_bound(q) + expsums.BOUND_SLACK,
+            lambda i: f"twisted bound fails at q={q}, n={i + 1}",
+        )
     # spot the same bound through the public interval interface
     for _ in range(300):
         q = rng.randint(2, q_twisted)
@@ -561,17 +570,11 @@ def check_expsums(
                 continue
             f_hat = expsums.dft(f)
             rhs = scale * sum(abs(f_hat(y)) for y in range(1, q))
-            for n in range(1, q + 1):
-                acc = 0.0
-                lo_acc = hi_acc = 0.0
-                for m in range(1, q + 1):
-                    if math.gcd(m, q) == 1:
-                        acc += f(n * pow(m, -1, q)).real
-                    lo_acc, hi_acc = min(lo_acc, acc), max(hi_acc, acc)
-                res.check(
-                    "odd-function bound", hi_acc - lo_acc <= rhs + 1e-9,
-                    f"odd-function bound fails at q={q}, n={n}",
-                )
+            spread = _inverted_spreads(np.roll(np.real(f.values), 1))  # residue 0 first
+            res.check_all(
+                "odd-function bound", spread <= rhs + 1e-9,
+                lambda i: f"odd-function bound fails at q={q}, n={i + 1}",
+            )
 
     # geometric sums against the sine bound
     res.check(

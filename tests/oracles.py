@@ -141,3 +141,18 @@ def kloosterman_brute(a, b, q):
             nbar = pow(n, -1, q)
             total += cmath.exp(2j * cmath.pi * (a * n + b * nbar) / q)
     return total
+
+
+def t2_groups_brute(max_n):
+    """T2 by quotient j for n = 1..max_n: at order k <= n, consecutive a/r < b/s < c/t
+    with r > s and r s <= n < s t add b1(n b/s) to group floor((k + r) / s) of n."""
+    groups = [{2: Fraction(0)} for _ in range(max_n + 1)]
+    for k in range(1, max_n + 1):
+        seq = farey_brute(k)
+        for x, y, z in zip(seq, seq[1:], seq[2:]):
+            r, s, t = x.denominator, y.denominator, z.denominator
+            if r > s:
+                j = (k + r) // s
+                for n in range(max(k, r * s), min(s * t, max_n + 1)):
+                    groups[n][j] = groups[n].get(j, Fraction(0)) + b1_brute(n * y)
+    return [{j: v for j, v in g.items() if v or j == 2} for g in groups]  # 2 first

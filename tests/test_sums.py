@@ -261,10 +261,23 @@ def test_t11_leftover_sum_is_zero():
 
 
 def test_t2_quotient_groups():
-    for n in range(1, 80):
+    for n, want in enumerate(oracles.t2_groups_brute(79)[1:], start=1):
         groups = sums.t2_quotient_groups(n)
-        assert groups[2] == 0
+        assert groups == want and list(groups) == sorted(groups) and groups[2] == 0
         assert sum(groups.values(), Fraction(0)) == sums.remainder_parts(n).t2
+
+
+def test_exact_report_builds_pairs_once(monkeypatch):
+    calls = []
+    for name in ("_pairs", "block_inverses"):
+        real = getattr(sums, name)
+        monkeypatch.setattr(sums, name, lambda *a, f=real: calls.append(f.__name__) or f(*a))
+    sums.sum_report(300)
+    assert calls.count("_pairs") == 1
+    calls.clear()
+    sums.window_integral(300)
+    sums.window_integral_series(300)
+    assert calls == []
 
 
 def test_denominator_sum_via_counts():

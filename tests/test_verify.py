@@ -89,6 +89,19 @@ def test_weighted_bound_grid_depends_on_n_mod_s():
         assert np.array_equal(verify.weighted_bound_grid(s, n, tail), grid)
 
 
+def test_inverted_spreads_match_the_scalar_loop():
+    # the loops of the twisted and odd-function checks: prefix sums in order of m
+    rng = np.random.default_rng(3)
+    for q in (2, 9, 12, 31):
+        for table in (np.r_[0, 2 * np.arange(1, q) - q], rng.uniform(-1, 1, q)):
+            for n, spread in enumerate(verify._inverted_spreads(table).tolist(), start=1):
+                acc, prefixes = 0, [0]
+                for m in range(1, q + 1):
+                    acc += table[n * pow(m, -1, q) % q] if math.gcd(m, q) == 1 else 0
+                    prefixes.append(acc)
+                assert spread == max(prefixes) - min(prefixes), (q, n)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_check_all_matches_check_loop(seed):
     rng = random.Random(seed)
