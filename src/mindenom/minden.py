@@ -136,21 +136,21 @@ def _min_denominator_scan(interval: Interval) -> int:
         return lo.denominator
     # q(E) <= ceil(1/length) + 1, so the scan below always terminates.
     q_stop = math.ceil(1 / (hi - lo)) + 1
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for q in range(1, q_stop + 1):
-        a, b = lo * q, hi * q
-        if ceil_count_hits(a, b, interval.lo_closed, interval.hi_closed, q):
+        if ceil_count_hits(a * q, b, c * q, d, interval.lo_closed, interval.hi_closed, q):
             return q
     raise AssertionError(f"no denominator <= {q_stop} found in {interval}")
 
 
 def ceil_count_hits(
-    a: Fraction, b: Fraction, lo_closed: bool, hi_closed: bool, q: int
+    a: int, b: int, c: int, d: int, lo_closed: bool, hi_closed: bool, q: int
 ) -> bool:
-    """True if some integer p with gcd(p, q) = 1 lies in the scaled interval a..b."""
-    p = math.ceil(a)
-    if p == a and not lo_closed:
+    """True if some integer p with gcd(p, q) = 1 lies between a/b and c/d (b, d > 0)."""
+    p = -(-a // b)
+    if p * b == a and not lo_closed:
         p += 1
-    while p < b or (p == b and hi_closed):
+    while p * d < c or (p * d == c and hi_closed):
         if math.gcd(p, q) == 1:
             return True
         p += 1
