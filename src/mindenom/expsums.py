@@ -8,8 +8,8 @@ values at the residues 1..q.  The discrete Fourier transform used throughout is
 inverted by f(n) = (1/q) sum_{x=1}^{q} f_hat(x) e(n x / q).  `dft` and `idft`
 run numpy's FFT on the values rolled so that residue q (= 0) comes first, in
 O(q log q) for every q (pocketfft covers prime q by Bluestein's method).
-`kloosterman_table` transforms only the columns it cannot get from the unit
-orbit K(a, b; q) = K(ab, 1; q).  The scalar sums (`kloosterman`,
+`kloosterman_table` transforms one column per divisor d of q and gathers the
+rest by K(a, d u; q) = K(a u, d; q) for units u.  The scalar sums (`kloosterman`,
 `b1_hat_closed`, `geometric_sum_bound_check`) take each root of unity from
 its exact integer residue and stay the independent references.
 
@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .farey import inv_mod
 
 Rational = Union[int, Fraction]
 
-#: Kloosterman-type sums are real; imaginary residue above this is a bug.
+#: Default tolerance of `PeriodicFunction.is_even` and `is_odd`.
 IMAG_TOL = 1e-9
 
 
@@ -113,10 +113,13 @@ def idft(f_hat: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction(q, tuple(out))
 
 
-def _real_part(z: complex, what: str) -> float:
-    if abs(z.imag) >= IMAG_TOL:
-        raise ArithmeticError(f"{what} should be real, got imaginary part {z.imag}")
-    return z.real
+def _check_real(imag: float, q: int, what: str) -> None:
+    """Raise unless |imag| < 16 eps q log2(q), 16 times the `dft` error bound.
+
+    Kloosterman sums measured stay below 0.7 eps q log2(q) (tables q <= 1536, sums q <= 200).
+    """
+    if abs(imag) >= 16 * sys.float_info.epsilon * q * max(1.0, math.log2(q)):
+        raise ArithmeticError(f"{what} should be real, got imaginary part {imag}")
 
 
 def kloosterman(a: int, b: int, q: int) -> float:
@@ -129,35 +132,36 @@ def kloosterman(a: int, b: int, q: int) -> float:
         if math.gcd(n, q) == 1:
             nbar = pow(n, -1, q)
             acc += roots[(a * n + b * nbar) % q]
-    return _real_part(acc, f"K({a}, {b}; {q})")
+    _check_real(acc.imag, q, f"K({a}, {b}; {q})")
+    return acc.real
 
 
 def kloosterman_table(q: int) -> np.ndarray:
-    """Matrix of K(a, b; q) for a, b = 0..q-1, from 1 + q - phi(q) column transforms.
+    """Matrix of K(a, b; q) for a, b = 0..q-1, from tau(q) column transforms.
 
-    Column b is one unnormalised inverse FFT over n of e(b inv(n) / q) on the
-    units n.  Only b = 1 and the non-unit b are transformed: n -> b n gives
-    K(a, b; q) = K(ab, 1; q) for every unit b, so the unit columns are one
-    gather from column 1.  Float error as for `dft`: each entry is within
-    about eps q log2(q) of the exact sum (below 1e-13 for q <= 521).
+    Column d, for each divisor d of q, is one unnormalised inverse FFT over n
+    of e(d inv(n) / q) on the units n.  Every b is d u with d = gcd(b, q) and
+    u the least unit that fits, and n -> u n gives K(a, d u; q) = K(a u, d; q),
+    so one gather fills the table.  Float error as for `dft`: about eps q log2(q).
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     res = np.arange(q)
-    is_unit = np.gcd(res, q) == 1
-    units = res[is_unit]
+    units = res[np.gcd(res, q) == 1]
     invs = np.array([pow(int(n), -1, q) for n in units])
-    cols = np.r_[1 % q, res[~is_unit]]
-    terms = np.zeros((q, len(cols)), dtype=complex)
-    terms[units] = np.exp(2j * np.pi * (np.outer(invs, cols) % q) / q)
+    divs = np.array(list(_divisors(q)))
+    terms = np.zeros((q, len(divs)), dtype=complex)
+    terms[units] = np.exp(2j * np.pi * (np.outer(invs, divs) % q) / q)
     transformed = np.fft.ifft(terms, axis=0, norm="forward")  # sum_n terms[n] e(a n / q)
-    worst = float(np.abs(transformed.imag).max())
-    if worst >= IMAG_TOL:
-        raise ArithmeticError(f"Kloosterman table mod {q} has imaginary part {worst}")
-    sums = transformed.real
-    table = sums[:, 0][np.outer(res, res) % q]
-    table[:, ~is_unit] = sums[:, 1:]
-    return table
+    _check_real(float(np.abs(transformed.imag).max()), q, f"Kloosterman table mod {q}")
+    sums = transformed.real.T.copy()  # row k: the column of d = divs[k]
+    # b = d u first shows up, row by row, at d = divs[k] and the least unit u = units[j]
+    _, first = np.unique(np.outer(divs, units) % q, return_index=True)
+    k, j = np.divmod(first, len(units))
+    idx = np.outer(res, units[j])
+    idx %= q
+    idx += k * q
+    return sums.take(idx)
 
 
 def ramanujan(a: int, q: int) -> float:
@@ -165,31 +169,25 @@ def ramanujan(a: int, q: int) -> float:
     return kloosterman(a, 0, q)
 
 
-def divisor_count(q: int) -> int:
-    """tau(q), the number of divisors of q >= 1."""
+def _divisors(q: int) -> Iterator[int]:
+    """The divisors of q >= 1 by trial division: d, then q // d, for each d <= sqrt(q)."""
     if q < 1:
         raise ValueError(f"argument must be >= 1, got {q}")
-    count = 0
-    d = 1
-    while d * d <= q:
+    for d in range(1, math.isqrt(q) + 1):
         if q % d == 0:
-            count += 1 if d * d == q else 2
-        d += 1
-    return count
+            yield from (d, q // d) if d * d < q else (d,)
+
+
+def divisor_count(q: int) -> int:
+    """tau(q), the number of divisors of q >= 1."""
+    return sum(1 for _ in _divisors(q))
 
 
 def beta(q: int) -> float:
     """beta(q) = sum over divisors d of q of log(q/d) / sqrt(d)."""
-    if q < 1:
-        raise ValueError(f"argument must be >= 1, got {q}")
     total = 0.0
-    d = 1
-    while d * d <= q:
-        if q % d == 0:
-            total += math.log(q // d) / math.sqrt(d)
-            if d * d != q:
-                total += math.log(d) / math.sqrt(q // d)
-        d += 1
+    for d in _divisors(q):
+        total += math.log(q // d) / math.sqrt(d)
     return total
 
 

@@ -480,13 +480,15 @@ def check_expsums(
                     "ramanujan", abs(expsums.ramanujan(a, q) - table[a, 0]) < 1e-9,
                     f"ramanujan({a}, {q}) != K({a}, 0; {q})",
                 )
-        # the table against the scalar sum: every entry up to q = 30, then 8
-        # seeded entries per q, the first in a non-unit column
+        # the table against the scalar sum: every entry up to q = 30, then one
+        # seeded entry in each divisor class {b : gcd(b, q) = d} and 7 more
         if q <= 30:
             entries = [(a, b) for a in range(q) for b in range(q)]
         else:
-            non_units = [b for b in range(q) if math.gcd(b, q) > 1]
-            entries = [(fft_rng.randrange(q), fft_rng.choice(non_units))]
+            classes: dict[int, list[int]] = {}
+            for b in range(q):
+                classes.setdefault(math.gcd(b, q), []).append(b)
+            entries = [(fft_rng.randrange(q), fft_rng.choice(bs)) for bs in classes.values()]
             entries += [(fft_rng.randrange(q), fft_rng.randrange(q)) for _ in range(7)]
         for a, b in entries:
             res.check(

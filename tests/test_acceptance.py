@@ -113,7 +113,7 @@ def test_criterion_05_fast_solver_vs_oracle():
 
 def test_criterion_06_kloosterman_magnitude_bound(suites):
     _suite_verdict(
-        f"criterion 6: |K(a,b;q)| <= gcd(a,b,q)^(1/2) tau(q) sqrt(q), exhaustive q <= {WEIL_MAX_Q}, imag < 1e-9",
+        f"criterion 6: |K(a,b;q)| <= gcd(a,b,q)^(1/2) tau(q) sqrt(q), exhaustive q <= {WEIL_MAX_Q}, imag < 16 eps q log2(q)",
         suites["expsums"],
         {"weil": WEIL_MAX_Q},
     )

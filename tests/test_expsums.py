@@ -144,11 +144,11 @@ def test_kloosterman_table_matches_scalar():
 
 
 def test_kloosterman_table_matches_brute():
-    # prime powers and moduli with many non-unit columns, each transformed
-    # on its own; the unit columns come from column 1 by K(a, b) = K(ab, 1).
-    # The oracle's phases (a n + b inv(n)) / q reach 2q, so as for the
-    # transforms its error grows like q^2 eps
-    for q in (1, 2, 8, 9, 16, 27, 30, 32, 36, 37):
+    # prime powers and moduli with many divisors (tau(48) = 10, tau(60) = 12),
+    # so every divisor class {b : gcd(b, q) = d} is gathered from its column
+    # by K(a, d u) = K(a u, d).  The oracle's phases (a n + b inv(n)) / q
+    # reach 2q, so as for the transforms its error grows like q^2 eps
+    for q in (1, 2, 8, 9, 16, 27, 30, 32, 36, 37, 48, 60):
         table = expsums.kloosterman_table(q)
         assert table.shape == (q, q) and table.dtype == np.float64
         for a in range(q):
@@ -157,9 +157,10 @@ def test_kloosterman_table_matches_brute():
                 assert abs(table[a, b] - want.real) <= 16 * q * q * EPS
 
 
-def test_kloosterman_table_memory_is_bounded():
-    # the q x phi(q) x q product took 125 MiB at q = 1531; the table itself is q^2 float64
-    q = 1531
+@pytest.mark.parametrize("q", [1531, 1536])
+def test_kloosterman_table_memory_is_bounded(q):
+    # the q x phi(q) x q product took 125 MiB at q = 1531, and one transform
+    # per non-unit column 84 MiB at q = 1536; the table itself is q^2 float64
     expsums.kloosterman_table(7)  # first-call set-up outside the trace
     tracemalloc.start()
     try:
@@ -326,8 +327,14 @@ def test_tau_beta_summatory():
     assert ratio < 3.5
 
 
-def test_kloosterman_realness_guard():
-    # realness is checked internally; all values up to q = 60 stay real
+def test_kloosterman_realness_guard(monkeypatch):
+    # realness is checked internally against a tolerance that scales like the
+    # FFT error bound: every table up to q = 60 passes it, and an imaginary
+    # residue of 1e-10 at q = 1531 (above 16 eps q log2 q = 5.8e-11) fails it
     for q in range(1, 61):
         table = expsums.kloosterman_table(q)
         assert table.dtype.kind == "f"
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: ifft(*args, **kw) + 1e-10j)
+    with pytest.raises(ArithmeticError):
+        expsums.kloosterman_table(1531)
