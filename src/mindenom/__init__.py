@@ -15,7 +15,6 @@ The command line entry point is ``mindenom`` (see mindenom.cli).
 """
 
 from .expsums import (
-    ArithmeticTables,
     PeriodicFunction,
     b1,
     b1_hat_closed,
@@ -27,7 +26,6 @@ from .expsums import (
     kloosterman,
     kloosterman_table,
     ramanujan,
-    tau_beta_summatory,
     twisted_b1_bound,
     twisted_b1_sum,
     weighted_b1_bound,
@@ -37,7 +35,6 @@ from .expsums import (
 from .farey import (
     AdjacentPair,
     adjacent_pairs,
-    ceil_count,
     farey_sequence,
     inv_mod,
     next_denominator,
@@ -55,12 +52,8 @@ from .sums import (
     SumReport,
     count_above,
     denominator_sum,
-    denominator_sum_via_counts,
-    frac_jump_sum,
-    measure_above,
     remainder,
     remainder_parts,
-    sawtooth_gap_sum,
     sum_report,
     variant_gap,
     window_integral,
@@ -70,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacentPair",
-    "ArithmeticTables",
     "Interval",
     "PeriodicFunction",
     "RemainderParts",
@@ -79,20 +71,16 @@ __all__ = [
     "b1",
     "b1_hat_closed",
     "beta",
-    "ceil_count",
     "count_above",
     "denominator_sum",
-    "denominator_sum_via_counts",
     "dft",
     "divisor_count",
     "farey_sequence",
-    "frac_jump_sum",
     "geometric_sum_bound_check",
     "idft",
     "inv_mod",
     "kloosterman",
     "kloosterman_table",
-    "measure_above",
     "min_denominator",
     "min_denominator_grid",
     "min_denominator_window",
@@ -101,9 +89,7 @@ __all__ = [
     "ramanujan",
     "remainder",
     "remainder_parts",
-    "sawtooth_gap_sum",
     "sum_report",
-    "tau_beta_summatory",
     "totient_summatory",
     "twisted_b1_bound",
     "twisted_b1_sum",

@@ -47,14 +47,13 @@ _REPORT_KEYS = (
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One CSV row; r_over_bound is populated only when the exact path ran."""
+    """One CSV row."""
 
     n: int
     s: int
     ratio: float
     integral: float
     chen_haynes_residual: float
-    r_over_bound: Optional[float] = None
 
 
 def _fmt(value: object) -> str:
@@ -108,25 +107,14 @@ def sweep_rows(
     rows = []
     for n in grid:
         s = sums.denominator_sum(n, variant)
-        ratio = s / n**1.5
-        r_over_bound = None
-        if n <= budget:
-            exact = series[n]
-            integral = float(exact)
-            if variant == DEFAULT_VARIANT and n >= 2:
-                # remainder against the same exact integral the row reports
-                r = s - n * exact
-                r_over_bound = abs(float(r)) / (n ** (4 / 3) * math.log(n) ** 2)
-        else:
-            integral = next(floats)
+        integral = float(series[n]) if n <= budget else next(floats)
         rows.append(
             SweepRow(
                 n=n,
                 s=s,
-                ratio=ratio,
+                ratio=s / n**1.5,
                 integral=integral,
                 chen_haynes_residual=sums.chen_haynes_residual(n, integral),
-                r_over_bound=r_over_bound,
             )
         )
     return rows

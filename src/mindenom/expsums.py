@@ -309,35 +309,3 @@ def geometric_sum_bound_check(lo: int, hi: int, alpha: Fraction) -> bool:
     float_error = 4 * max(hi - lo + 1, 0) * sys.float_info.epsilon * (rhs + 1)
     return abs(acc) <= rhs + float_error + BOUND_SLACK
 
-
-@dataclass(frozen=True)
-class ArithmeticTables:
-    """Sieved tables of tau, phi and beta for 1..limit (index 0 unused)."""
-
-    limit: int
-    tau: np.ndarray
-    phi: np.ndarray
-    beta: np.ndarray
-
-    @classmethod
-    def build(cls, limit: int) -> "ArithmeticTables":
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        tau = np.zeros(limit + 1, dtype=np.int64)
-        bet = np.zeros(limit + 1, dtype=np.float64)
-        for d in range(1, limit + 1):
-            tau[d::d] += 1
-            bet[d::d] += np.log(np.arange(1, limit // d + 1)) / math.sqrt(d)
-        phi = np.arange(limit + 1, dtype=np.int64)
-        for p in range(2, limit + 1):
-            if phi[p] == p:  # p prime
-                phi[p::p] -= phi[p::p] // p
-        return cls(limit, tau, phi, bet)
-
-
-def tau_beta_summatory(x: int) -> float:
-    """Sum of tau(n) * beta(n) for n <= x; grows like a constant times x log^2 x."""
-    if x < 1:
-        raise ValueError(f"argument must be >= 1, got {x}")
-    tables = ArithmeticTables.build(x)
-    return float(np.dot(tables.tau[1:].astype(np.float64), tables.beta[1:]))

@@ -5,8 +5,8 @@ The Farey sequence of order k is the ascending list of reduced fractions in
 walking that sequence: consecutive fractions a/r < b/s satisfy br - as = 1,
 r + s > k, and the next denominator after s is obtained from (k, r, s) alone.
 This module provides the walk plus the small number-theoretic helpers it
-needs (modular inverse, lattice point counting, totient summation) and the
-coprime-pair block kernel behind every exact pair sum.
+needs (modular inverse, totient summation) and the coprime-pair block
+kernel behind every exact pair sum.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ def inv_mod(a: int, q: int) -> int:
     except ValueError as exc:
         raise ValueError(f"{a} is not invertible modulo {q}") from exc
     return r if r else q
-
-
-def ceil_count(a: Fraction, b: Fraction) -> int:
-    """Number of integers n with a <= n < b, i.e. ceil(b) - ceil(a), or 0 if b <= a."""
-    if b <= a:
-        return 0
-    return math.ceil(b) - math.ceil(a)
 
 
 def next_denominator(k: int, r: int, s: int) -> int:

@@ -9,13 +9,12 @@ over coprime pairs with r s <= n, which integer arithmetic evaluates exactly.
 
 The quantities provided, all exact rationals unless stated otherwise:
 
-* count_above(n, k): number of windows with q_j > k, either by direct count
-  or through the Farey-gap formula n * measure_above + frac_jump_sum.
-* measure_above(n, k): Lebesgue measure of the t in ]0, 1] whose window
-  ]t - 1/n, t] has minimal denominator > k.
+* count_above(n, k): number of windows with q_j > k, by direct count.
+* per_k_tables(n): for every order k = 0..n the measure nu_k of the windows
+  that clear order k, the fractional jump xi_k and the sawtooth term sigma_k;
+  count_above(n, k) = n nu_k + xi_k and xi_k = -2 sigma_k.
 * window_integral(n): integral over ]0, 1] of the window minimal denominator,
-  equal to the sum of measure_above over k = 0..n.  It grows like
-  (16/pi^2) sqrt(n).
+  equal to the sum of nu_k over k = 0..n.  It grows like (16/pi^2) sqrt(n).
 * remainder(n): R = S(n) - n * window_integral(n), the discrepancy between
   the sum and its integral smoothing.  Identity: R = -2 T where T is a sum of
   sawtooth values at Farey points, split as T = T1 + T2 and T1 = T11 + T12 by
@@ -23,19 +22,17 @@ The quantities provided, all exact rationals unless stated otherwise:
 * variant_gap(n): how much S moves when the grid windows are all-open or
   all-closed instead of half-open.
 
-Single-k functions walk the pairs adjacent at order k and serve as
-independent references.  Every bulk sum takes its pairs from the block
-kernel farey.coprime_blocks.  The integral W(n) = 1 + P - Q/n (P and Q sum
-1/max(r, s) and min(r, s), per product r s in _min_sums) and variant_gap
-read the blocks alone; the sawtooth sums per_k_tables, remainder_parts,
-t11_leftover_sum and t2_quotient_groups read _pairs, which adds inverses.
-The orders at which a pair sees a following gap below 1/n form one suffix
-of its adjacency range, found in closed form by _first_hit; exact sums add
-int64 numerators per denominator before any big-integer arithmetic.  S(n)
-and the direct window count add up the int64 blocks of minden.grid_blocks,
-never a list of all n denominators.  PAIRS_MAX_N (pair sums) and
-PER_K_MAX_N (per_k_tables) are the int64 limits; larger n raise
-OverflowError up front.
+Every pair sum takes its pairs from the block kernel farey.coprime_blocks.
+The integral W(n) = 1 + P - Q/n (P and Q sum 1/max(r, s) and min(r, s), per
+product r s in _min_sums) and variant_gap read the blocks alone; the sawtooth
+sums per_k_tables, remainder_parts, t11_leftover_sum and t2_quotient_groups
+read _pairs, which adds inverses.  The orders at which a pair sees a
+following gap below 1/n form one suffix of its adjacency range, found in
+closed form by _first_hit; exact sums add int64 numerators per denominator
+before any big-integer arithmetic.  S(n) and the direct window count add up
+the int64 blocks of minden.grid_blocks, never a list of all n denominators.
+PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
+larger n raise OverflowError up front.
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .expsums import b1_residue
-from .farey import block_inverses, coprime_blocks, inv_mod
+from .farey import block_inverses, coprime_blocks
 from .minden import Variant, grid_blocks
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
@@ -71,88 +67,16 @@ class RemainderParts(NamedTuple):
     t2: Fraction
 
 
-def _adjacent_pairs_at(n: int, k: int):
-    """Pairs (r, s) adjacent at order k whose Farey gap 1/(r s) is >= 1/n."""
-    for r in range(1, k + 1):
-        s_hi = min(k, n // r)
-        for s in range(max(1, k - r + 1), s_hi + 1):
-            if math.gcd(r, s) == 1:
-                yield r, s
-
-
 def denominator_sum(n: int, variant: Variant = "half-open-right") -> int:
     """S(n): sum of the minimal denominators of the n grid windows, block by block."""
     return sum(int(block.sum()) for block in grid_blocks(n, variant))
 
 
-def count_above(n: int, k: int, method: str = "count") -> int:
-    """Number of windows j with q_j > k.
-
-    method "count" queries every window; method "farey" evaluates
-    n * measure_above(n, k) + frac_jump_sum(n, k), which is an integer.
-    """
+def count_above(n: int, k: int) -> int:
+    """Number of windows j with q_j > k, counted over the grid blocks."""
     if k < 0:
         raise ValueError(f"threshold must be >= 0, got {k}")
-    if method == "count":
-        return sum(int(np.count_nonzero(block > k)) for block in grid_blocks(n))
-    if method != "farey":
-        raise ValueError(f"unknown method {method!r}")
-    if k == 0:
-        return n
-    value = n * measure_above(n, k) + frac_jump_sum(n, k)
-    if value.denominator != 1:
-        raise ArithmeticError(f"window count at n={n}, k={k} is not integral: {value}")
-    return int(value)
-
-
-def measure_above(n: int, k: int) -> Fraction:
-    """Measure of the t whose window has minimal denominator > k: sum of (gap - 1/n) over wide gaps."""
-    if k < 0:
-        raise ValueError(f"threshold must be >= 0, got {k}")
-    if k == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for r, s in _adjacent_pairs_at(n, k):
-        total += Fraction(1, r * s) - Fraction(1, n)
-    return total
-
-
-def frac_jump_sum(n: int, k: int) -> Fraction:
-    """Sum of frac(-n * right) - frac(-n * left) over the Farey gaps of order k wider than 1/n.
-
-    Equals count_above(n, k) - n * measure_above(n, k); the two fractional
-    parts are evaluated modulo the gap denominators, never as real numbers.
-    """
-    if k < 0:
-        raise ValueError(f"threshold must be >= 0, got {k}")
-    total = Fraction(0)
-    for r, s in _adjacent_pairs_at(n, k):
-        total += _gap_jump(n, r, s)
-    return total
-
-
-def _gap_jump(n: int, r: int, s: int) -> Fraction:
-    """frac(-n b/s) - frac(-n a/r) for the adjacent fractions a/r < b/s."""
-    e_hi = (-n * inv_mod(r, s)) % s  # b = inv(r, s) mod s
-    e_lo = (n * inv_mod(s, r)) % r  # a = -inv(s, r) mod r
-    return Fraction(e_hi, s) - Fraction(e_lo, r)
-
-
-def sawtooth_gap_sum(n: int, k: int) -> Fraction:
-    """Sum of b1(n * b/s) over Farey points b/s of order k where the gap drops below 1/n.
-
-    A point contributes when its left gap is >= 1/n (r s <= n) and its right
-    gap is < 1/n (s t > n for the next denominator t).  The final point 1/1
-    never qualifies for k <= n.
-    """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    total = Fraction(0)
-    for r, s in _adjacent_pairs_at(n, k):
-        t = s * ((k + r) // s) - r
-        if s * t > n:
-            total += b1_residue(n * inv_mod(r, s), s)
-    return total
+    return sum(int(np.count_nonzero(block > k)) for block in grid_blocks(n))
 
 
 def _check_size(n: int, limit: int, what: str) -> None:
@@ -232,7 +156,15 @@ def _fraction_sums(
 
 
 def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """(measure_above, frac_jump_sum, sawtooth_gap_sum) for k = 0..n in one pass over the pairs.
+    """The tables (nu, xi, sigma) over the orders k = 0..n, in one pass over the pairs.
+
+    Take the Farey gaps a/r < b/s of order k that are at least 1/n wide:
+    nu_k, the measure of the t whose window ]t - 1/n, t] has minimal
+    denominator > k, is the sum of (b/s - a/r - 1/n) over them (nu_0 = 1);
+    the jump xi_k is the sum of frac(-n b/s) - frac(-n a/r) over them, so
+    count_above(n, k) = n nu_k + xi_k; and sigma_k is the sum of b1(n b/s)
+    over the points b/s whose left gap is such a gap and whose right gap is
+    below 1/n.  xi_k = -2 sigma_k holds at every k.
 
     Each coprime pair (r, s) with r s <= n is adjacent at the min(r, s)
     consecutive orders k in [max(r, s), r + s - 1]; its gap and jump terms
@@ -281,7 +213,7 @@ def _min_sums(n: int) -> np.ndarray:
 
 
 def window_integral(n: int) -> Fraction:
-    """Integral of q(]t - 1/n, t]) over t in ]0, 1], exactly: sum of measure_above over k.
+    """Integral of q(]t - 1/n, t]) over t in ]0, 1], exactly: sum of nu_k over k.
 
     Summing min(r, s) (1/(r s) - 1/n) over the pairs gives W = 1 + P - Q/n
     with P = sum min(r, s)/(r s) = sum 1/max(r, s) and Q = sum min(r, s).
@@ -305,16 +237,8 @@ def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
     return out
 
 
-def window_integral_float(n: int) -> float:
-    """Float approximation of window_integral for grid sizes past the exact budget.
-
-    window_integral_floats([n])[0]; see there for the order of the sums.
-    """
-    return window_integral_floats([n])[0]
-
-
 def window_integral_floats(ns: Sequence[int]) -> list[float]:
-    """window_integral_float(n) for each n of ns, in order, from one pass over the blocks.
+    """Float approximations of window_integral(n) for each n of ns, in order, from one block pass.
 
     The same W = 1 + P - Q/n, summed block by block in the order a = 1, 2, ...:
     each block of n adds 2 (sum 1/L - a |block| / n) for its pairs (a, L) and
@@ -342,35 +266,11 @@ def window_integral_floats(ns: Sequence[int]) -> list[float]:
     return totals
 
 
-def remainder(n: int, method: str = "definition") -> Fraction:
-    """R(n) = S(n) - n * window_integral(n), the exact discrepancy term.
-
-    method "definition" computes exactly that; method "counts" sums
-    count_above - n * measure_above (i.e. frac_jump_sum) over k = 1..n.
-    """
+def remainder(n: int) -> Fraction:
+    """R(n) = S(n) - n * window_integral(n), the exact discrepancy term."""
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    if method == "definition":
-        return denominator_sum(n) - n * window_integral(n)
-    if method != "counts":
-        raise ValueError(f"unknown method {method!r}")
-    _, xi, _ = per_k_tables(n)
-    return sum(xi[1:], Fraction(0))
-
-
-def denominator_sum_via_counts(n: int) -> int:
-    """S(n) recovered as sum over k = 0..n of count_above(n, k), Farey-formula route.
-
-    Independent of the per-window queries: every term comes from Farey gap
-    data, so agreement with denominator_sum checks the window solver.
-    """
-    nu, xi, _ = per_k_tables(n)
-    total = Fraction(n)  # k = 0
-    for k in range(1, n + 1):
-        total += n * nu[k] + xi[k]
-    if total.denominator != 1:
-        raise ArithmeticError(f"count sum at n={n} is not integral: {total}")
-    return int(total)
+    return denominator_sum(n) - n * window_integral(n)
 
 
 def remainder_parts(n: int) -> RemainderParts:

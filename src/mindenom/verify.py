@@ -452,8 +452,10 @@ def check_expsums(
                 f"{name} off the direct sum by {worst} at q={q}",
             )
 
-    # Kloosterman: realness, Weil bound, Ramanujan specialization and evenness
+    # Kloosterman: realness, Weil bound, Ramanujan specialization and evenness,
+    # each within the FFT error bound 64 q eps of the table
     for q in range(1, q_weil + 1):
+        tol = 64 * q * EPS
         try:
             table = expsums.kloosterman_table(q)
         except ArithmeticError as exc:
@@ -466,18 +468,18 @@ def check_expsums(
             * math.sqrt(q)
         )
         res.check(
-            "weil", bool((np.abs(table) <= bound + 1e-9).all()),
+            "weil", bool((np.abs(table) <= bound + tol).all()),
             f"Weil bound fails at q={q}",
         )
         res.check(
             "ramanujan evenness",
-            q == 1 or np.allclose(table[:, 0], table[:, 0][np.r_[0, q - 1 : 0 : -1]], atol=1e-9),
+            bool((np.abs(table[:, 0] - table[-ar, 0]) <= tol).all()),
             f"Ramanujan evenness fails at q={q}",
         )
         if q <= 50:
             for a in range(q):
                 res.check(
-                    "ramanujan", abs(expsums.ramanujan(a, q) - table[a, 0]) < 1e-9,
+                    "ramanujan", abs(expsums.ramanujan(a, q) - table[a, 0]) <= tol,
                     f"ramanujan({a}, {q}) != K({a}, 0; {q})",
                 )
         # the table against the scalar sum: every entry up to q = 30, then one
@@ -493,7 +495,7 @@ def check_expsums(
         for a, b in entries:
             res.check(
                 "kloosterman table",
-                abs(table[a, b] - expsums.kloosterman(a, b, q)) <= 64 * q * EPS,
+                abs(table[a, b] - expsums.kloosterman(a, b, q)) <= tol,
                 f"kloosterman_table({q})[{a}, {b}] != K({a}, {b}; {q})",
             )
 

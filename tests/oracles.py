@@ -11,13 +11,15 @@ earlier library code, kept as references for their replacements.
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 
+@lru_cache(maxsize=None)
 def farey_brute(k):
-    """All reduced fractions in [0, 1] with denominator <= k, sorted."""
-    return sorted({Fraction(p, q) for q in range(1, k + 1) for p in range(q + 1)})
+    """All reduced fractions in [0, 1] with denominator <= k, sorted, as a tuple (cached)."""
+    return tuple(sorted({Fraction(p, q) for q in range(1, k + 1) for p in range(q + 1)}))
 
 
 def coprime_pairs_brute(n):

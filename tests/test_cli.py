@@ -1,10 +1,9 @@
-import math
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import mindenom
 from mindenom import cli, minden, sums, verify
 
 
@@ -12,6 +11,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_package_exports_resolve():
+    # a deleted function left in the export list fails here
+    assert mindenom.__all__ == sorted(set(mindenom.__all__))
+    for name in mindenom.__all__:
+        assert hasattr(mindenom, name), name
 
 
 def test_compute_small(capsys):
@@ -105,15 +111,8 @@ def test_sweep_linear_matches_library(capsys):
 def test_sweep_rows_api():
     rows = cli.sweep_rows(2, 40, step=3)
     assert [row.n for row in rows] == list(range(2, 41, 3))
-    for row in rows:
-        assert row.r_over_bound is not None  # exact path within budget
-        r = Fraction(row.s) - row.n * sums.window_integral(row.n)
-        assert row.r_over_bound == pytest.approx(
-            abs(float(r)) / (row.n ** (4 / 3) * math.log(row.n) ** 2)
-        )
     big = cli.sweep_rows(4000, 4001, budget=2000)
     assert [row.n for row in big] == [4000, 4001]
-    assert all(row.r_over_bound is None for row in big)
     assert all(row.integral > 0 for row in big)
     with pytest.raises(ValueError):
         cli.sweep_rows(5, 2)

@@ -307,26 +307,6 @@ def test_exact_within_bound_edges():
     assert expsums.exact_within_bound(Fraction(0), 0.0)
 
 
-def test_arithmetic_tables_match_scalars():
-    tables = expsums.ArithmeticTables.build(300)
-    assert tables.tau[1] == 1 and tables.phi[1] == 1 and tables.beta[1] == 0
-    for n in range(1, 301):
-        assert tables.tau[n] == expsums.divisor_count(n)
-        assert tables.beta[n] == pytest.approx(expsums.beta(n), rel=1e-12)
-    phis = [0, 1]
-    for n in range(2, 301):
-        phis.append(sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1))
-    assert list(tables.phi[1:]) == phis[1:]
-
-
-def test_tau_beta_summatory():
-    assert expsums.tau_beta_summatory(1) == 0
-    assert expsums.tau_beta_summatory(2) == 2 * math.log(2)
-    x = 1000
-    ratio = expsums.tau_beta_summatory(x) / (x * math.log(x) ** 2)
-    assert ratio < 3.5
-
-
 def test_kloosterman_realness_guard(monkeypatch):
     # realness is checked internally against a tolerance that scales like the
     # FFT error bound: every table up to q = 60 passes it, and an imaginary

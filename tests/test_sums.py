@@ -81,24 +81,33 @@ def test_count_above_examples():
     assert sums.count_above(4, 2) == 2
 
 
-def test_count_above_both_methods_match_brute():
-    for n in range(1, 40):
+def test_per_k_tables_examples():
+    nu, xi, sigma = sums.per_k_tables(4)
+    assert nu == [1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 6), 0]
+    assert xi == [0, 0, 0, Fraction(1, 3), 0] and sum(xi) == sums.remainder(4)
+    assert sigma == [0, 0, 0, Fraction(-1, 6), 0]
+    assert sums.per_k_tables(1) == ([1, 0], [0, 0], [0, 0])
+    assert sums.per_k_tables(2)[0][1] == Fraction(1, 2)
+    assert sums.per_k_tables(3)[2][3] == 0
+
+
+def test_per_k_tables_match_brute():
+    # nu, xi and sigma against the Farey-sequence oracles, the window count
+    # n nu_k + xi_k and count_above against the brute grid, and S as the sum
+    # of those counts
+    for n in range(1, 60):
+        nu, xi, sigma = sums.per_k_tables(n)
+        assert len(nu) == len(xi) == len(sigma) == n + 1
+        counts = [n * nu_k + xi_k for nu_k, xi_k in zip(nu, xi)]
+        assert sum(counts) == sums.denominator_sum(n)
+        if n > 50:
+            continue
         for k in range(n + 1):
-            expect = oracles.theta_brute(n, k)
-            assert sums.count_above(n, k, "count") == expect
-            assert sums.count_above(n, k, "farey") == expect
-
-
-def test_measure_above_examples():
-    assert sums.measure_above(7, 0) == 1
-    assert sums.measure_above(2, 1) == Fraction(1, 2)
-    assert sums.measure_above(5, 5) == 0
-
-
-def test_measure_above_matches_brute():
-    for n in range(1, 50):
-        for k in range(n + 1):
-            assert sums.measure_above(n, k) == oracles.measure_above_brute(n, k)
+            assert nu[k] == oracles.measure_above_brute(n, k), (n, k)
+            assert xi[k] == oracles.frac_jump_brute(n, k) == -2 * sigma[k], (n, k)
+            assert sigma[k] == oracles.sawtooth_brute(n, k), (n, k)
+            if n < 40:
+                assert counts[k] == sums.count_above(n, k) == oracles.theta_brute(n, k)
 
 
 def test_window_integral_examples():
@@ -109,13 +118,12 @@ def test_window_integral_examples():
 
 def test_window_integral_routes_agree():
     series = sums.window_integral_series(120)
+    floats = sums.window_integral_floats(range(1, 121))
     for n in range(1, 121):
         direct = sums.window_integral(n)
-        by_measure = sum((sums.measure_above(n, k) for k in range(n + 1)), Fraction(0))
+        by_measure = sum(sums.per_k_tables(n)[0], Fraction(0))
         assert direct == by_measure == series[n]
-        assert math.isclose(
-            sums.window_integral_float(n), float(direct), rel_tol=1e-12
-        )
+        assert math.isclose(floats[n - 1], float(direct), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1999, 2000, 2001])
@@ -123,7 +131,7 @@ def test_window_integral_float_at_budget_switch(n):
     # sweep switches from the exact to the float integral at the default
     # budget 2000; about 3e-16 relative error was measured there
     exact = float(sums.window_integral(n))
-    assert abs(sums.window_integral_float(n) - exact) <= 1e-13 * exact
+    assert abs(sums.window_integral_floats([n])[0] - exact) <= 1e-13 * exact
 
 
 @pytest.mark.parametrize(
@@ -185,21 +193,10 @@ def test_remainder_examples():
 
 
 def test_remainder_routes_agree():
+    # R by definition against the sums of the per-order jumps and sawtooth terms
     for n in range(1, 80):
-        assert sums.remainder(n, "definition") == sums.remainder(n, "counts")
-
-
-def test_sawtooth_gap_sum_examples():
-    assert sums.sawtooth_gap_sum(1, 1) == 0
-    total = sum((sums.sawtooth_gap_sum(4, k) for k in range(1, 5)), Fraction(0))
-    assert total == -sums.remainder(4) / 2 == Fraction(-1, 6)
-    assert sums.sawtooth_gap_sum(3, 3) == 0
-
-
-def test_sawtooth_gap_sum_matches_brute():
-    for n in range(1, 40):
-        for k in range(1, n + 1):
-            assert sums.sawtooth_gap_sum(n, k) == oracles.sawtooth_brute(n, k)
+        _, xi, sigma = sums.per_k_tables(n)
+        assert sums.remainder(n) == sum(xi, Fraction(0)) == -2 * sum(sigma, Fraction(0))
 
 
 def test_sawtooth_last_interior_index_never_fires():
@@ -211,31 +208,6 @@ def test_sawtooth_last_interior_index_never_fires():
         assert seq[i + 1] - seq[i] == Fraction(1, k)
         for n in range(k, 2 * k + 1):
             assert not seq[i + 1] - seq[i] < Fraction(1, n)
-
-
-def test_frac_jump_sum_examples():
-    assert sums.frac_jump_sum(1, 1) == 0
-    total = sum((sums.frac_jump_sum(4, k) for k in range(1, 5)), Fraction(0))
-    assert total == sums.remainder(4) == Fraction(1, 3)
-
-
-def test_frac_jump_sum_matches_brute_and_sawtooth():
-    for n in range(1, 51):
-        for k in range(1, n + 1):
-            xi = sums.frac_jump_sum(n, k)
-            assert xi == oracles.frac_jump_brute(n, k)
-            assert xi == -2 * sums.sawtooth_gap_sum(n, k)
-
-
-def test_per_k_tables_match_single_queries():
-    for n in range(1, 60):
-        nu, xi, sigma = sums.per_k_tables(n)
-        assert len(nu) == len(xi) == len(sigma) == n + 1
-        assert nu[0] == 1 and xi[0] == 0 and sigma[0] == 0
-        for k in range(1, n + 1):
-            assert nu[k] == sums.measure_above(n, k)
-            assert xi[k] == sums.frac_jump_sum(n, k)
-            assert sigma[k] == sums.sawtooth_gap_sum(n, k)
 
 
 def test_remainder_parts_examples():
@@ -251,8 +223,6 @@ def test_remainder_part_identities():
         assert sums.remainder(n) == -2 * parts.t
         assert parts.t == parts.t1 + parts.t2
         assert parts.t1 == parts.t11 + parts.t12
-        _, _, sigma = sums.per_k_tables(n)
-        assert sum(sigma[1:], Fraction(0)) == parts.t
 
 
 def test_t11_leftover_sum_is_zero():
@@ -278,11 +248,6 @@ def test_exact_report_builds_pairs_once(monkeypatch):
     sums.window_integral(300)
     sums.window_integral_series(300)
     assert calls == []
-
-
-def test_denominator_sum_via_counts():
-    for n in range(1, 60):
-        assert sums.denominator_sum_via_counts(n) == sums.denominator_sum(n)
 
 
 def test_variant_gap_examples():
@@ -342,9 +307,9 @@ def test_rejects_out_of_range():
     with pytest.raises(ValueError):
         sums.count_above(5, -1)
     with pytest.raises(ValueError):
-        sums.sawtooth_gap_sum(5, 0)
+        sums.remainder(0)
     with pytest.raises(ValueError):
-        sums.remainder(3, method="magic")
+        sums.per_k_tables(0)
     with pytest.raises(ValueError):
         sums.variant_gap(3, "sideways")
 

@@ -187,3 +187,13 @@ def test_check_farey_counts():
     )
     pairs = sum(farey.totient_summatory(k) for k in range(1, 31))
     assert (res.passed, res.failed) == (inv_checks + 4 * 30 + 2 * pairs, 0)
+
+
+def test_check_expsums_kloosterman_tolerance_scales_with_q(monkeypatch):
+    # an error of 1e-10 hides under a fixed 1e-9 but not under 64 q eps,
+    # which stays below 1e-12 for every q <= 50 the Ramanujan check runs at
+    real = expsums.ramanujan
+    monkeypatch.setattr(expsums, "ramanujan", lambda a, q: real(a, q) + 1e-10)
+    res = verify.check_expsums(q_weil=20, q_dft=4, q_twisted=4, s_weighted=2)
+    assert res.checks["ramanujan"] == verify.Tally(0, 210, "ramanujan(0, 1) != K(0, 0; 1)")
+    assert res.failed == 210
