@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -81,33 +82,86 @@ def test_count_above_examples():
     assert sums.count_above(4, 2) == 2
 
 
-def test_per_k_tables_examples():
-    nu, xi, sigma = sums.per_k_tables(4)
-    assert nu == [1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 6), 0]
-    assert xi == [0, 0, 0, Fraction(1, 3), 0] and sum(xi) == sums.remainder(4)
-    assert sigma == [0, 0, 0, Fraction(-1, 6), 0]
-    assert sums.per_k_tables(1) == ([1, 0], [0, 0], [0, 0])
-    assert sums.per_k_tables(2)[0][1] == Fraction(1, 2)
-    assert sums.per_k_tables(3)[2][3] == 0
+@lru_cache(maxsize=None)
+def _tables(n):
+    """per_k_tables(n), computed once per n across the tests below."""
+    return sums.per_k_tables(n)
 
 
-def test_per_k_tables_match_brute():
-    # nu, xi and sigma against the Farey-sequence oracles, the window count
-    # n nu_k + xi_k and count_above against the brute grid, and S as the sum
-    # of those counts
+def test_count_above_both_methods_match_brute():
+    # the direct count and the window count n nu_k + xi_k of the tables
+    for n in range(1, 40):
+        nu, xi, _ = _tables(n)
+        for k in range(n + 1):
+            expect = oracles.theta_brute(n, k)
+            assert sums.count_above(n, k) == expect
+            assert n * nu[k] + xi[k] == expect, (n, k)
+
+
+def test_denominator_sum_via_counts():
+    # S(n) as the sum over k of the window counts n nu_k + xi_k
     for n in range(1, 60):
-        nu, xi, sigma = sums.per_k_tables(n)
-        assert len(nu) == len(xi) == len(sigma) == n + 1
-        counts = [n * nu_k + xi_k for nu_k, xi_k in zip(nu, xi)]
-        assert sum(counts) == sums.denominator_sum(n)
-        if n > 50:
-            continue
+        nu, xi, _ = _tables(n)
+        assert sum(n * nu_k + xi_k for nu_k, xi_k in zip(nu, xi)) == sums.denominator_sum(n)
+
+
+def test_measure_above_examples():
+    assert _tables(1)[0] == [1, 0]
+    assert _tables(7)[0][0] == 1
+    assert _tables(2)[0][1] == Fraction(1, 2)
+    assert _tables(5)[0][5] == 0
+    assert _tables(4)[0] == [1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 6), 0]
+
+
+def test_measure_above_matches_brute():
+    for n in range(1, 50):
+        nu = _tables(n)[0]
+        assert len(nu) == n + 1
         for k in range(n + 1):
             assert nu[k] == oracles.measure_above_brute(n, k), (n, k)
-            assert xi[k] == oracles.frac_jump_brute(n, k) == -2 * sigma[k], (n, k)
+
+
+def test_sawtooth_gap_sum_examples():
+    assert _tables(1)[2] == [0, 0]
+    sigma = _tables(4)[2]
+    assert sigma == [0, 0, 0, Fraction(-1, 6), 0]
+    assert sum(sigma, Fraction(0)) == -sums.remainder(4) / 2 == Fraction(-1, 6)
+    assert _tables(3)[2][3] == 0
+
+
+def test_sawtooth_gap_sum_matches_brute():
+    for n in range(1, 51):
+        sigma = _tables(n)[2]
+        assert len(sigma) == n + 1 and sigma[0] == 0
+        for k in range(1, n + 1):
             assert sigma[k] == oracles.sawtooth_brute(n, k), (n, k)
-            if n < 40:
-                assert counts[k] == sums.count_above(n, k) == oracles.theta_brute(n, k)
+
+
+def test_frac_jump_sum_examples():
+    assert _tables(1)[1] == [0, 0]
+    xi = _tables(4)[1]
+    assert xi == [0, 0, 0, Fraction(1, 3), 0]
+    assert sum(xi, Fraction(0)) == sums.remainder(4) == Fraction(1, 3)
+
+
+def test_frac_jump_sum_matches_brute_and_sawtooth():
+    for n in range(1, 51):
+        _, xi, sigma = _tables(n)
+        assert len(xi) == n + 1 and xi[0] == 0
+        for k in range(1, n + 1):
+            assert xi[k] == oracles.frac_jump_brute(n, k), (n, k)
+            assert xi[k] == -2 * sigma[k], (n, k)
+
+
+def test_per_k_tables_match_single_queries():
+    # the tables against the single-k window count count_above(n, k), past
+    # the n < 40 reach of the brute comparison
+    for n in range(1, 60):
+        nu, xi, sigma = _tables(n)
+        assert len(nu) == len(xi) == len(sigma) == n + 1
+        assert nu[0] == 1 and xi[0] == 0 and sigma[0] == 0
+        for k in range(n + 1):
+            assert n * nu[k] + xi[k] == sums.count_above(n, k), (n, k)
 
 
 def test_window_integral_examples():
