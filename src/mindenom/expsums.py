@@ -48,6 +48,12 @@ def _roots(q: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * k / q) for k in range(q))
 
 
+@lru_cache(maxsize=64)
+def _unit_inverses(q: int) -> tuple[tuple[int, int], ...]:
+    """(n, inv(n) mod q) for the units n in 1..q, n increasing; cached as _roots is."""
+    return tuple((n, pow(n, -1, q)) for n in range(1, q + 1) if math.gcd(n, q) == 1)
+
+
 @dataclass(frozen=True)
 class PeriodicFunction:
     """A q-periodic function given by its values at the residues 1..q."""
@@ -128,10 +134,8 @@ def kloosterman(a: int, b: int, q: int) -> float:
         raise ValueError(f"modulus must be positive, got {q}")
     roots = _roots(q)
     acc = 0j
-    for n in range(1, q + 1):
-        if math.gcd(n, q) == 1:
-            nbar = pow(n, -1, q)
-            acc += roots[(a * n + b * nbar) % q]
+    for n, nbar in _unit_inverses(q):
+        acc += roots[(a * n + b * nbar) % q]
     _check_real(acc.imag, q, f"K({a}, {b}; {q})")
     return acc.real
 

@@ -36,9 +36,19 @@ Integer width: the inversion keeps an*bd - ad*bn = -n at every level and
 the four endpoint terms stay in 0..n, so c*bd <= (an/ad + 1) bd
 = bn - n/ad + bd < 2n; every denominator is at most 2n (the open window
 contains (2j - 1)/(2n)).  So no value of the descent exceeds 2n, and the
-block sums that sums.denominator_sum adds in int64 stay <= 2n*CHUNK.
-GRID_MAX_N is the largest n for which 2n*CHUNK fits int64; grid_blocks
-raises OverflowError above it before anything is allocated.
+int64 sum of any block stays <= 2n*CHUNK; that holds for the blocks of
+half_grid_blocks, which sums.denominator_sum adds, as for those of
+grid_blocks.  GRID_MAX_N is the largest n for which 2n*CHUNK fits int64;
+grid_blocks and half_grid_blocks raise OverflowError above it before
+anything is allocated.
+
+Reflection: t -> 1 - t maps the window ](j-1)/n, j/n] onto
+[(n-j)/n, (n+1-j)/n[, the window n + 1 - j with both boundary flags swapped,
+and p/q onto (q - p)/q, of the same denominator.  The closed and the open
+grids map onto themselves, so q_j = q_{n+1-j} there, and the windows
+j <= n // 2 of half_grid_blocks carry their sums, with the middle window
+(n + 1) / 2 when n is odd.  The half-open grid ]a, b] maps onto [a, b[;
+sums.denominator_sum takes both half-open sums from the open one.
 """
 
 from __future__ import annotations
@@ -219,6 +229,22 @@ def grid_blocks(n: int, variant: Variant = "half-open-right") -> Iterator[np.nda
 
     Raises OverflowError for n > GRID_MAX_N, before any block is built.
     """
+    return _blocks(n, n, variant)
+
+
+def half_grid_blocks(n: int, variant: Variant = "half-open-right") -> Iterator[np.ndarray]:
+    """Minimal denominators of the windows j = 1..n // 2 as int64 blocks of CHUNK consecutive j.
+
+    The windows left of the middle of the grid: by the reflection t -> 1 - t
+    they carry the denominators of the windows right of it (see the module
+    docstring).  Raises OverflowError for n > GRID_MAX_N, before any block is
+    built, exactly as grid_blocks does.
+    """
+    return _blocks(n, n // 2, variant)
+
+
+def _blocks(n: int, stop: int, variant: Variant) -> Iterator[np.ndarray]:
+    """The descent of the windows j = 1..stop of the n-grid, CHUNK windows per block."""
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     if n > GRID_MAX_N:
@@ -228,8 +254,8 @@ def grid_blocks(n: int, variant: Variant = "half-open-right") -> Iterator[np.nda
         )
     lo_open, hi_open = (not closed for closed in VARIANT_FLAGS[variant])
     blocks = (
-        np.arange(j, min(j + CHUNK, n + 1), dtype=np.int64)
-        for j in range(1, n + 1, CHUNK)
+        np.arange(j, min(j + CHUNK, stop + 1), dtype=np.int64)
+        for j in range(1, stop + 1, CHUNK)
     )
     return (_descend_block(n, j, lo_open, hi_open) for j in blocks)
 

@@ -19,18 +19,33 @@ The quantities provided, all exact rationals unless stated otherwise:
   the sum and its integral smoothing.  Identity: R = -2 T where T is a sum of
   sawtooth values at Farey points, split as T = T1 + T2 and T1 = T11 + T12 by
   remainder_parts.
+* denominator_sum(n, variant): S(n) for any of the four boundary variants.
 * variant_gap(n): how much S moves when the grid windows are all-open or
   all-closed instead of half-open.
 
+S(n) from half the windows.  The reflection t -> 1 - t maps window j of the
+grid onto window n + 1 - j with both boundary flags swapped, and keeps every
+denominator.  The closed and the open grids map onto themselves, so
+S_v(n) = 2 (q_1 + ... + q_{n//2}) + [n odd] q_{(n+1)/2} for those two.  The
+half-open grid ]a, b] maps onto [a, b[, so S_left = S, and
+S = S_open - G(n), where G(n) = variant_gap(n, "upper") is the sum of
+min(r, s) over the coprime pairs with r s <= n and s | n (verify checks
+this identity against the per-window grid).  G(n) has a closed form by
+Moebius inversion over the squarefree divisors of each divisor of n,
+O(tau(n) 2^omega(n)) integer operations after factorising n, so every
+variant sum solves n // 2 windows (plus one scalar middle window for odd n)
+and sum_report solves about n windows for all four.
+
 Every pair sum takes its pairs from the block kernel farey.coprime_blocks.
 The integral W(n) = 1 + P - Q/n (P and Q sum 1/max(r, s) and min(r, s), per
-product r s in _min_sums) and variant_gap read the blocks alone; the sawtooth
+product r s in _min_sums) reads the blocks alone; the sawtooth
 sums per_k_tables, remainder_parts, t11_leftover_sum and t2_quotient_groups
 read _pairs, which adds inverses.  The orders at which a pair sees a
 following gap below 1/n form one suffix of its adjacency range, found in
 closed form by _first_hit; exact sums add int64 numerators per denominator
-before any big-integer arithmetic.  S(n) and the direct window count add up
-the int64 blocks of minden.grid_blocks, never a list of all n denominators.
+before any big-integer arithmetic.  S(n) adds up the int64 blocks of
+minden.half_grid_blocks and the direct window count those of
+minden.grid_blocks, never a list of all n denominators.
 PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
 larger n raise OverflowError up front.
 """
@@ -45,7 +60,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .farey import block_inverses, coprime_blocks
-from .minden import Variant, grid_blocks
+from .minden import (
+    VARIANT_FLAGS,
+    Variant,
+    grid_blocks,
+    half_grid_blocks,
+    min_denominator_grid,
+)
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
 
@@ -68,8 +89,24 @@ class RemainderParts(NamedTuple):
 
 
 def denominator_sum(n: int, variant: Variant = "half-open-right") -> int:
-    """S(n): sum of the minimal denominators of the n grid windows, block by block."""
-    return sum(int(block.sum()) for block in grid_blocks(n, variant))
+    """S(n): sum of the minimal denominators of the n grid windows, from half the windows.
+
+    The closed and the open grids are symmetric under t -> 1 - t, so
+    S_v(n) = 2 (q_1 + ... + q_{n//2}) + [n odd] q_{(n+1)/2}, adding the int64
+    blocks of minden.half_grid_blocks.  Both half-open sums are
+    S_open(n) - variant_gap(n).  Raises ValueError for n < 1 and
+    OverflowError for n > minden.GRID_MAX_N before any window is solved.
+    """
+    lo_closed, hi_closed = VARIANT_FLAGS[variant]
+    if lo_closed != hi_closed:
+        return _symmetric_sum(n, "open") - variant_gap(n)
+    return _symmetric_sum(n, variant)
+
+
+def _symmetric_sum(n: int, variant: Variant) -> int:
+    """S_v(n) of the closed or open grid: twice the windows j <= n // 2, plus odd n's middle."""
+    half = sum(int(block.sum()) for block in half_grid_blocks(n, variant))
+    return 2 * half + (min_denominator_grid(n, (n + 1) // 2, variant) if n % 2 else 0)
 
 
 def count_above(n: int, k: int) -> int:
@@ -332,21 +369,54 @@ def variant_gap(n: int, which: str = "upper") -> int:
     """Exact change of S(n) when every window boundary flag is flipped.
 
     which = "upper": S_open - S, the growth from opening every window; equals
-    the sum of min(r, s) over coprime pairs with r s <= n and s dividing n,
-    and is at most n * tau(n).  which = "lower": S - S_closed, the drop from
-    closing every window.
+    G(n), the sum of min(r, s) over coprime pairs with r s <= n and s
+    dividing n, and is at most n * tau(n).  which = "lower": S - S_closed,
+    the drop from closing every window.
+
+    G(n) in closed form: for each divisor s of n, with M = n / s and
+    X = min(M, s), Moebius over the squarefree d | s gives
+    sum_{r <= M, (r, s) = 1} min(r, s) = sum_{d | s} mu(d) (d A(A + 1)/2 + s (B - A)),
+    A = floor(X / d), B = floor(M / d); exact integers, O(tau(n) 2^omega(n))
+    operations after the trial-division factorisation of n.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     if which == "upper":
-        # (1, 1), then per block (a, L) with s = L and (L, a) with s = a
-        return 1 + sum(
-            a * (int(np.count_nonzero(n % big == 0)) + (n % a == 0) * big.size)
-            for a, big in coprime_blocks(n)
-        )
+        divisors = [(1, ())]  # (s, the primes of s) for every divisor s of n
+        for p, e in _factorize(n):
+            divisors = [
+                (s * p**k, primes + (p,) if k else primes)
+                for s, primes in divisors
+                for k in range(e + 1)
+            ]
+        total = 0
+        for s, primes in divisors:
+            m = n // s
+            x = min(m, s)
+            moebius = [(1, 1)]  # (d, mu(d)) for the squarefree d | s
+            for p in primes:
+                moebius += [(d * p, -mu) for d, mu in moebius]
+            for d, mu in moebius:
+                a, b = x // d, m // d
+                total += mu * (d * (a * (a + 1) // 2) + s * (b - a))
+        return total
     if which != "lower":
         raise ValueError(f"unknown side {which!r}")
     return denominator_sum(n) - denominator_sum(n, "closed")
+
+
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n >= 1 as (p, exponent) pairs, p increasing, by trial division."""
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    return factors + [(n, 1)] if n > 1 else factors
 
 
 class SumReport(NamedTuple):
@@ -381,11 +451,14 @@ def sum_report(n: int) -> SumReport:
 
     The half-open-left sum is S itself: the reflection t -> 1 - t maps the
     windows of one variant onto those of the other (verify.check_variants
-    still computes it directly).
+    still computes it from the per-window grid).  S = S_open - variant_gap(n)
+    as in denominator_sum, so the open and closed half grids are the only
+    windows solved, about n in all.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    s = denominator_sum(n)
+    s_open = denominator_sum(n, "open")
+    s = s_open - variant_gap(n)
     integral = window_integral(n)
     r = s - n * integral
     parts = remainder_parts(n)
@@ -398,7 +471,7 @@ def sum_report(n: int) -> SumReport:
         s=s,
         s_closed=denominator_sum(n, "closed"),
         s_half_open_left=s,
-        s_open=denominator_sum(n, "open"),
+        s_open=s_open,
         integral=integral,
         r=r,
         t=parts.t,

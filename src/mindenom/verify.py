@@ -4,10 +4,10 @@ Five suites, one per concern: farey (sequence machinery against brute-force
 enumeration), minden (fast interval solver against the scanning oracle plus
 monotonicity, reflection and variant ordering), identities (the exact rational
 identity chain for S, R and T), expsums (transform and bound checks), variants
-(the four boundary variants of S and the divisor-sum gap formula).  Every
-check has a short name; a suite counts its checks in total and per name
-(`SuiteResult.checks`) and records the first counterexample of each, so a
-failure pinpoints the smallest offending input.
+(the four boundary variants of S, the reflected sums and the divisor-sum gap
+formula).  Every check has a short name; a suite counts its checks in total
+and per name (`SuiteResult.checks`) and records the first counterexample of
+each, so a failure pinpoints the smallest offending input.
 
 All randomized checks draw from seeded generators; two runs with the same
 flags perform exactly the same checks.
@@ -303,12 +303,27 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
 
 
 def check_variants(max_n: int = 500) -> SuiteResult:
+    """The four variant sums of the per-window grid, and denominator_sum against them.
+
+    denominator_sum reflects half of the grid and takes the half-open sums
+    from the open one and variant_gap, so the reference sums come from
+    minden.grid_blocks, which solves every window; every other check reads
+    those alone.
+    """
     res = SuiteResult("variants")
     for n in range(1, max_n + 1):
-        s = sums.denominator_sum(n)
-        s_left = sums.denominator_sum(n, "half-open-left")
-        s_closed = sums.denominator_sum(n, "closed")
-        s_open = sums.denominator_sum(n, "open")
+        grid = {
+            variant: sum(int(block.sum()) for block in minden.grid_blocks(n, variant))
+            for variant in minden.VARIANT_FLAGS
+        }
+        for variant, s_grid in grid.items():
+            s_reflected = sums.denominator_sum(n, variant)
+            res.check(
+                "reflected sum", s_reflected == s_grid,
+                f"denominator_sum({n}, {variant!r}) = {s_reflected} != grid sum {s_grid}",
+            )
+        s, s_left = grid["half-open-right"], grid["half-open-left"]
+        s_closed, s_open = grid["closed"], grid["open"]
         res.check("mirrored sum", s_left == s, f"left/right half-open sums differ at n={n}")
         res.check("variant order", s_closed <= s <= s_open, f"variant ordering fails at n={n}")
         gap = sums.variant_gap(n, "upper")

@@ -72,11 +72,13 @@ def min_denominator_brute(lo, hi, lo_closed=False, hi_closed=True):
         q += 1
 
 
+@lru_cache(maxsize=None)
 def grid_brute(n, lo_closed=False, hi_closed=True):
-    return [
+    """Minimal denominators of the n grid windows by the definitional scan, as a tuple (cached)."""
+    return tuple(
         min_denominator_brute(Fraction(j - 1, n), Fraction(j, n), lo_closed, hi_closed)
         for j in range(1, n + 1)
-    ]
+    )
 
 
 def theta_brute(n, k):

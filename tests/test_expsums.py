@@ -132,6 +132,20 @@ def test_kloosterman_matches_brute():
                 )
 
 
+def test_kloosterman_sums_units_in_increasing_order():
+    # the cached (unit, inverse) list keeps the order of the loop over n = 1..q
+    # with gcd and pow, so every value is the same float, bit for bit
+    for q in (1, 2, 12, 13, 30):
+        roots = expsums._roots(q)
+        for a in range(q):
+            for b in range(q):
+                acc = 0j
+                for n in range(1, q + 1):
+                    if math.gcd(n, q) == 1:
+                        acc += roots[(a * n + b * pow(n, -1, q)) % q]
+                assert expsums.kloosterman(a, b, q) == acc.real
+
+
 def test_kloosterman_table_matches_scalar():
     for q in (1, 2, 6, 11, 20):
         table = expsums.kloosterman_table(q)

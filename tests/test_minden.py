@@ -101,6 +101,7 @@ def test_grid_size_limit():
         first = next(minden.grid_blocks(limit, variant))
         expect = [minden.min_denominator_grid(limit, j, variant) for j in range(1, chunk + 1)]
         assert first.tolist() == expect and int(first.sum()) == sum(expect)
+        assert next(minden.half_grid_blocks(limit, variant)).tolist() == expect
         for n in (limit, int64_max // 2):
             js = [1, 2, n - 1, n] + [rng.randint(1, n) for _ in range(200)]
             got = minden._descend_block(
@@ -109,6 +110,8 @@ def test_grid_size_limit():
             assert got.tolist() == [minden.min_denominator_grid(n, j, variant) for j in js]
     with pytest.raises(OverflowError):
         minden.grid_blocks(limit + 1)
+    with pytest.raises(OverflowError):
+        minden.half_grid_blocks(limit + 1)
     with pytest.raises(OverflowError):
         minden.grid_denominators(limit + 1)
 

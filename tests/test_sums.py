@@ -17,6 +17,34 @@ def test_denominator_sum_examples():
     assert sums.denominator_sum(1) == 1
     assert sums.denominator_sum(4) == 10
     assert sums.denominator_sum(2, "open") == 6
+    # n = 1 is only the middle window; n = 2 has no middle window
+    variants = ("half-open-right", "half-open-left", "closed", "open")
+    assert [sums.denominator_sum(1, v) for v in variants] == [1, 1, 1, 2]
+    assert [sums.denominator_sum(2, v) for v in variants] == [3, 3, 2, 6]
+
+
+def _grid_sum(n, variant):
+    """The variant sum over every window of the per-window grid solver."""
+    return sum(int(block.sum()) for block in minden.grid_blocks(n, variant))
+
+
+def test_reflected_sums_match_grid():
+    # every n <= 2000 (odd n add a middle window), primes, powers of 2, highly
+    # composite n, and half ranges that end on either side of a block join
+    chunk = minden.CHUNK
+    ns = [*range(1, 2001), 7919, 65521, *(2**k for k in range(11, 21)), 5040, 720720]
+    ns += [2 * chunk + d for d in (-1, 0, 1, 2, 3)]
+    for n in ns:
+        for variant in minden.VARIANT_FLAGS:
+            assert sums.denominator_sum(n, variant) == _grid_sum(n, variant), (n, variant)
+
+
+def test_reflected_sums_refuse_oversized_grids():
+    for variant in minden.VARIANT_FLAGS:
+        with pytest.raises(OverflowError):
+            sums.denominator_sum(minden.GRID_MAX_N + 1, variant)
+        with pytest.raises(ValueError):
+            sums.denominator_sum(0, variant)
 
 
 def test_denominator_sum_matches_brute_grid():
@@ -310,9 +338,9 @@ def test_variant_gap_examples():
 
 
 def test_variant_gap_routes_and_bound():
-    for n in range(1, 120):
+    for n in range(1, 301):
         upper = sums.variant_gap(n, "upper")
-        assert upper == sums.denominator_sum(n, "open") - sums.denominator_sum(n)
+        assert upper == _grid_sum(n, "open") - _grid_sum(n, "half-open-right")
         direct = sum(
             min(r, s) for r, s in oracles.coprime_pairs_brute(n) if n % s == 0
         )
@@ -320,13 +348,14 @@ def test_variant_gap_routes_and_bound():
         tau = expsums.divisor_count(n)
         assert 0 <= upper <= n * tau
         lower = sums.variant_gap(n, "lower")
-        assert lower == sums.denominator_sum(n) - sums.denominator_sum(n, "closed")
+        assert lower == _grid_sum(n, "half-open-right") - _grid_sum(n, "closed")
         assert 0 <= lower <= n * tau
 
 
 def test_half_open_variants_equal():
+    # on the per-window grid: denominator_sum takes both from the open sum
     for n in range(1, 120):
-        assert sums.denominator_sum(n, "half-open-left") == sums.denominator_sum(n)
+        assert _grid_sum(n, "half-open-left") == _grid_sum(n, "half-open-right")
 
 
 def test_chen_haynes_residual():

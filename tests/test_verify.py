@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mindenom import expsums, farey, verify
+from mindenom import expsums, farey, minden, sums, verify
 
 
 def _scalar_weighted_nums(s, n):
@@ -197,3 +197,21 @@ def test_check_expsums_kloosterman_tolerance_scales_with_q(monkeypatch):
     res = verify.check_expsums(q_weil=20, q_dft=4, q_twisted=4, s_weighted=2)
     assert res.checks["ramanujan"] == verify.Tally(0, 210, "ramanujan(0, 1) != K(0, 0; 1)")
     assert res.failed == 210
+
+
+def test_check_variants_reads_the_grid_not_the_reflection(monkeypatch):
+    # a reflected path that drops the last window of every half grid fails
+    # "reflected sum" for all four variants at every n >= 2 (n = 1 has only
+    # its middle window), while the checks on the per-window grid sums alone
+    # pass; "lower gap" compares variant_gap(n, "lower"), a reflected
+    # difference, with them and is left out here
+    half = minden.half_grid_blocks
+    monkeypatch.setattr(
+        sums, "half_grid_blocks", lambda n, v: (block[:-1] for block in half(n, v))
+    )
+    res = verify.check_variants(max_n=10)
+    assert res.checks["reflected sum"] == verify.Tally(
+        4, 36, "denominator_sum(2, 'half-open-right') = -3 != grid sum 3"
+    )
+    for name in ("mirrored sum", "variant order", "open gap", "gap <= n tau(n)"):
+        assert res.checks[name] == verify.Tally(10, 0, None)
