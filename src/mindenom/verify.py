@@ -520,7 +520,10 @@ def check_expsums(
         worst = max(
             abs(f_hat(x) - expsums.b1_hat_closed(x, q)) for x in range(1, q + 1)
         )
-        res.check("b1 transform", worst < 1e-9, f"sawtooth transform mismatch {worst} at q={q}")
+        res.check(
+            "b1 transform", worst <= 16 * q * q * EPS,
+            f"sawtooth transform mismatch {worst} at q={q}",
+        )
         if q >= 2:
             total = sum(abs(f_hat(y)) for y in range(1, q))
             res.check(

@@ -171,10 +171,47 @@ def test_kloosterman_table_matches_brute():
                 assert abs(table[a, b] - want.real) <= 16 * q * q * EPS
 
 
+def test_kloosterman_table_block_joins_match_brute():
+    # the gather runs _TABLE_ROWS rows at a time: a short last block, exactly
+    # one block, one row over, and two blocks plus one row
+    rows = expsums._TABLE_ROWS
+    moduli = (rows - 1, rows, rows + 1, 2 * rows + 1)
+    is_prime = [q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1)) for q in moduli]
+    assert any(is_prime) and not all(is_prime)
+    for q in moduli:
+        table = expsums.kloosterman_table(q)
+        for a in range(q):
+            for b in range(q):
+                want = oracles.kloosterman_brute(a, b, q)
+                assert abs(table[a, b] - want.real) <= 16 * q * q * EPS
+
+
+def test_kloosterman_table_does_not_depend_on_row_count(monkeypatch):
+    # a gather moves values without arithmetic, so blocks of any height give
+    # the one-block table bit for bit, however often the block shift wraps
+    for q in (1, 2, 30, 37, 60, 97, 210):
+        monkeypatch.setattr(expsums, "_TABLE_ROWS", q)
+        whole = expsums.kloosterman_table(q)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(expsums, "_TABLE_ROWS", rows)
+            assert np.array_equal(expsums.kloosterman_table(q), whole)
+
+
+def test_unit_inverses_by_square_and_multiply():
+    for q in range(1, 2001):
+        units, invs = expsums._units_and_inverses(q)
+        want = [(n, pow(n, -1, q)) for n in range(q) if math.gcd(n, q) == 1]
+        assert list(zip(units.tolist(), invs.tolist())) == want
+    with pytest.raises(OverflowError):
+        expsums._units_and_inverses(2**32)  # (2^32)^2 = 2^64 overflows int64
+
+
 @pytest.mark.parametrize("q", [1531, 1536])
 def test_kloosterman_table_memory_is_bounded(q):
-    # the q x phi(q) x q product took 125 MiB at q = 1531, and one transform
-    # per non-unit column 84 MiB at q = 1536; the table itself is q^2 float64
+    # the q x phi(q) x q product took 125 MiB at q = 1531, one transform per
+    # non-unit column 84 MiB at q = 1536, and a whole q^2 int64 gather index
+    # another 18 MiB at q = 1531; the table itself is q^2 float64, and the
+    # blocked gather adds O(rows q)
     expsums.kloosterman_table(7)  # first-call set-up outside the trace
     tracemalloc.start()
     try:
@@ -183,7 +220,7 @@ def test_kloosterman_table_memory_is_bounded(q):
     finally:
         tracemalloc.stop()
     assert table.shape == (q, q)
-    assert peak <= 4 * q * q * 8
+    assert peak <= 1.5 * q * q * 8
 
 
 def test_ramanujan_examples():
@@ -241,6 +278,13 @@ def test_b1_residue_matches_b1():
     for den in range(1, 40):
         for num in range(-2 * den, 2 * den + 1):
             assert expsums.b1_residue(num, den) == expsums.b1(Fraction(num, den))
+
+
+def test_b1_table_equals_b1_residue():
+    # the vectorised table against the Fraction reference, float for float
+    for q in [*range(1, 301), 1531]:
+        want = tuple(complex(float(expsums.b1_residue(n, q))) for n in range(1, q + 1))
+        assert expsums.b1_table(q).values == want
 
 
 def test_b1_hat_closed_examples():
