@@ -1,7 +1,9 @@
 """Exponential sums modulo q and the sawtooth transform toolbox.
 
 Conventions: e(x) = exp(2*pi*i*x), and a function of period q is stored by its
-values at the residues 1..q.  The discrete Fourier transform used throughout is
+values at the residues 1..q, one read-only complex128 array that `dft`, `idft`
+and `b1_table` hand to numpy as it is.  The discrete Fourier transform used
+throughout is
 
     f_hat(x) = sum_{n=1}^{q} f(n) e(-n x / q),
 
@@ -38,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -88,21 +90,25 @@ def _units_and_inverses(q: int) -> tuple[np.ndarray, np.ndarray]:
     return units, inv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicFunction:
-    """A q-periodic function given by its values at the residues 1..q."""
+    """A q-periodic function given by its values at the residues 1..q.
+
+    values is a read-only complex128 array of shape (q,), copied from the
+    values given, so f(n) is a complex (np.complex128 subclasses it).
+    """
 
     period: int
-    values: tuple[complex, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if len(self.values) != self.period:
-            raise ValueError(
-                f"expected {self.period} values, got {len(self.values)}"
-            )
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        values = np.array(self.values, dtype=complex)
+        values.flags.writeable = False
+        if values.shape != (self.period,):
+            raise ValueError(f"expected {self.period} values, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_callable(cls, q: int, fn: Callable[[int], complex]) -> "PeriodicFunction":
@@ -113,20 +119,25 @@ class PeriodicFunction:
 
     def is_even(self, tol: float = IMAG_TOL) -> bool:
         """True if f(-n) == f(n) for all n, within tol per entry."""
-        return all(
-            abs(self(-n) - self(n)) <= tol for n in range(1, self.period + 1)
-        )
+        return _all_within(self._reflected() - self.values, tol)
 
     def is_odd(self, tol: float = IMAG_TOL) -> bool:
         """True if f(-n) == -f(n) for all n, within tol per entry."""
-        return all(
-            abs(self(-n) + self(n)) <= tol for n in range(1, self.period + 1)
-        )
+        return _all_within(self._reflected() + self.values, tol)
+
+    def _reflected(self) -> np.ndarray:
+        """f(-n) at n = 1..q."""
+        return np.roll(self.values[::-1], -1)
 
 
-def _transform(values: Sequence[complex], q: int, sign: int) -> np.ndarray:
-    """out[k] = sum_n values[n-1] e(sign * n * (k+1) / q) by one unnormalised FFT."""
-    v = np.roll(np.asarray(values, dtype=complex), 1)  # residue q (= 0) first
+def _all_within(d: np.ndarray, tol: float) -> bool:
+    """Whether |d| <= tol everywhere; hypot is abs(complex) bit for bit, np.abs is not."""
+    return bool((np.hypot(d.real, d.imag) <= tol).all())
+
+
+def _transform(values: np.ndarray, sign: int) -> np.ndarray:
+    """out[k] = sum_n values[n-1] e(sign * n * (k+1) / q), q = len(values), by one FFT."""
+    v = np.roll(values, 1)  # residue q (= 0) first
     out = np.fft.fft(v) if sign < 0 else np.fft.ifft(v, norm="forward")
     return np.roll(out, -1)  # residues 1..q
 
@@ -138,8 +149,7 @@ def dft(f: PeriodicFunction) -> PeriodicFunction:
     with c a small constant, so each entry is within about
     eps q log2(q) max|f| of the exact sum (below 1e-13 for |f| <= 1, q <= 1531).
     """
-    out = _transform(f.values, f.period, -1)
-    return PeriodicFunction(f.period, out.tolist())
+    return PeriodicFunction(f.period, _transform(f.values, -1))
 
 
 def idft(f_hat: PeriodicFunction) -> PeriodicFunction:
@@ -149,8 +159,7 @@ def idft(f_hat: PeriodicFunction) -> PeriodicFunction:
     eps log2(q) max|f_hat| of the exact value.
     """
     q = f_hat.period
-    out = _transform(f_hat.values, q, +1) / q
-    return PeriodicFunction(q, out.tolist())
+    return PeriodicFunction(q, _transform(f_hat.values, +1) / q)
 
 
 def _check_real(imag: float, q: int, what: str) -> None:
@@ -272,7 +281,7 @@ def b1_table(q: int) -> PeriodicFunction:
         raise ValueError(f"period must be >= 1, got {q}")
     e = np.arange(1, q + 1) % q
     # exact ints below 2^53: the float quotient is correctly rounded, as float(b1_residue) is
-    return PeriodicFunction(q, np.where(e > 0, (2 * e - q) / (2 * q), 0.0).tolist())
+    return PeriodicFunction(q, np.where(e > 0, (2 * e - q) / (2 * q), 0.0))
 
 
 def b1_hat_closed(x: int, q: int) -> complex:
@@ -331,16 +340,6 @@ BOUND_SLACK = 1e-12
 def exact_within_bound(lhs: Rational, bound: float) -> bool:
     """|lhs| <= bound with the exact side rounded outward, so float noise never hides a violation."""
     return math.nextafter(abs(float(lhs)), math.inf) <= bound + BOUND_SLACK
-
-
-def twisted_b1_bound_check(lo: int, hi: int, q: int, n: int) -> bool:
-    """Whether the exact twisted sawtooth sum over [lo, hi] respects its analytic bound."""
-    return exact_within_bound(twisted_b1_sum(lo, hi, q, n), twisted_b1_bound(q))
-
-
-def weighted_b1_bound_check(s: int, a: Rational, b: Rational, n: int) -> bool:
-    """Whether the exact weighted sawtooth sum over ]a, b] respects its analytic bound."""
-    return exact_within_bound(weighted_b1_sum(s, a, b, n), weighted_b1_bound(s, a, b))
 
 
 def geometric_sum_bound_check(lo: int, hi: int, alpha: Fraction) -> bool:

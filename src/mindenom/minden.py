@@ -1,7 +1,9 @@
 """Minimal denominators of rational intervals.
 
 For a nonempty interval E of real numbers, min_denominator returns the least
-q >= 1 such that E contains a fraction p/q.  Two algorithms are provided:
+q >= 1 such that E contains a fraction p/q.  Its algo argument picks one of
+two algorithms; min_denominator_window and min_denominator_grid always take
+the descent:
 
 * "fast": a Stern-Brocot descent on the interval endpoints.  At each level the
   smallest admissible integer is tried; if none fits, the integer part is
@@ -195,18 +197,16 @@ def _simplest(interval: Interval) -> tuple[int, int]:
     )
 
 
-def min_denominator_window(t: Rational, delta: Rational, algo: str = "fast") -> int:
-    """Minimal denominator of the window ]t - delta, t] of width delta > 0."""
+def min_denominator_window(t: Rational, delta: Rational) -> int:
+    """Minimal denominator of the window ]t - delta, t] of width delta > 0, by the descent."""
     t, delta = Fraction(t), Fraction(delta)
     if delta <= 0:
         raise ValueError(f"window width must be positive, got {delta}")
-    return min_denominator(Interval(t - delta, t, False, True), algo)
+    return min_denominator(Interval(t - delta, t, False, True))
 
 
-def min_denominator_grid(
-    n: int, j: int, variant: Variant = "half-open-right", algo: str = "fast"
-) -> int:
-    """Minimal denominator of the j-th of n equal windows covering ]0, 1].
+def min_denominator_grid(n: int, j: int, variant: Variant = "half-open-right") -> int:
+    """Minimal denominator of the j-th of n equal windows covering ]0, 1], by the descent.
 
     The window is ](j-1)/n, j/n] for the default variant; the other variants
     reuse the same endpoints with the flags from VARIANT_FLAGS.
@@ -216,12 +216,7 @@ def min_denominator_grid(
     if not 1 <= j <= n:
         raise ValueError(f"window index must be in 1..{n}, got {j}")
     lo_closed, hi_closed = VARIANT_FLAGS[variant]
-    if algo == "fast":
-        _, q = _simplest_in(j - 1, n, not lo_closed, j, n, not hi_closed)
-        return q
-    return min_denominator(
-        Interval(Fraction(j - 1, n), Fraction(j, n), lo_closed, hi_closed), algo
-    )
+    return _simplest_in(j - 1, n, not lo_closed, j, n, not hi_closed)[1]
 
 
 def grid_blocks(n: int, variant: Variant = "half-open-right") -> Iterator[np.ndarray]:

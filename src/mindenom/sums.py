@@ -20,15 +20,15 @@ The quantities provided, all exact rationals unless stated otherwise:
   sawtooth values at Farey points, split as T = T1 + T2 and T1 = T11 + T12 by
   remainder_parts.
 * denominator_sum(n, variant): S(n) for any of the four boundary variants.
-* variant_gap(n): how much S moves when the grid windows are all-open or
-  all-closed instead of half-open.
+* variant_gap(n): how much S grows when the grid windows are all-open
+  instead of half-open.
 
 S(n) from half the windows.  The reflection t -> 1 - t maps window j of the
 grid onto window n + 1 - j with both boundary flags swapped, and keeps every
 denominator.  The closed and the open grids map onto themselves, so
 S_v(n) = 2 (q_1 + ... + q_{n//2}) + [n odd] q_{(n+1)/2} for those two.  The
 half-open grid ]a, b] maps onto [a, b[, so S_left = S, and
-S = S_open - G(n), where G(n) = variant_gap(n, "upper") is the sum of
+S = S_open - G(n), where G(n) = variant_gap(n) is the sum of
 min(r, s) over the coprime pairs with r s <= n and s | n (verify checks
 this identity against the per-window grid).  G(n) has a closed form by
 Moebius inversion over the squarefree divisors of each divisor of n,
@@ -365,13 +365,11 @@ def t2_quotient_groups(n: int) -> dict[int, Fraction]:
     return {q: total for q, total in enumerate(totals) if total or q == 2}
 
 
-def variant_gap(n: int, which: str = "upper") -> int:
-    """Exact change of S(n) when every window boundary flag is flipped.
+def variant_gap(n: int) -> int:
+    """S_open(n) - S(n), the growth of S when every window is opened.
 
-    which = "upper": S_open - S, the growth from opening every window; equals
-    G(n), the sum of min(r, s) over coprime pairs with r s <= n and s
-    dividing n, and is at most n * tau(n).  which = "lower": S - S_closed,
-    the drop from closing every window.
+    Equals G(n), the sum of min(r, s) over coprime pairs with r s <= n and s
+    dividing n, and is at most n * tau(n).
 
     G(n) in closed form: for each divisor s of n, with M = n / s and
     X = min(M, s), Moebius over the squarefree d | s gives
@@ -381,28 +379,24 @@ def variant_gap(n: int, which: str = "upper") -> int:
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    if which == "upper":
-        divisors = [(1, ())]  # (s, the primes of s) for every divisor s of n
-        for p, e in _factorize(n):
-            divisors = [
-                (s * p**k, primes + (p,) if k else primes)
-                for s, primes in divisors
-                for k in range(e + 1)
-            ]
-        total = 0
-        for s, primes in divisors:
-            m = n // s
-            x = min(m, s)
-            moebius = [(1, 1)]  # (d, mu(d)) for the squarefree d | s
-            for p in primes:
-                moebius += [(d * p, -mu) for d, mu in moebius]
-            for d, mu in moebius:
-                a, b = x // d, m // d
-                total += mu * (d * (a * (a + 1) // 2) + s * (b - a))
-        return total
-    if which != "lower":
-        raise ValueError(f"unknown side {which!r}")
-    return denominator_sum(n) - denominator_sum(n, "closed")
+    divisors = [(1, ())]  # (s, the primes of s) for every divisor s of n
+    for p, e in _factorize(n):
+        divisors = [
+            (s * p**k, primes + (p,) if k else primes)
+            for s, primes in divisors
+            for k in range(e + 1)
+        ]
+    total = 0
+    for s, primes in divisors:
+        m = n // s
+        x = min(m, s)
+        moebius = [(1, 1)]  # (d, mu(d)) for the squarefree d | s
+        for p in primes:
+            moebius += [(d * p, -mu) for d, mu in moebius]
+        for d, mu in moebius:
+            a, b = x // d, m // d
+            total += mu * (d * (a * (a + 1) // 2) + s * (b - a))
+    return total
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:

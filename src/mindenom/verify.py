@@ -326,7 +326,7 @@ def check_variants(max_n: int = 500) -> SuiteResult:
         s_closed, s_open = grid["closed"], grid["open"]
         res.check("mirrored sum", s_left == s, f"left/right half-open sums differ at n={n}")
         res.check("variant order", s_closed <= s <= s_open, f"variant ordering fails at n={n}")
-        gap = sums.variant_gap(n, "upper")
+        gap = sums.variant_gap(n)
         res.check(
             "open gap", s_open - s == gap,
             f"open-variant gap {s_open - s} != divisor form {gap} at n={n}",
@@ -334,7 +334,8 @@ def check_variants(max_n: int = 500) -> SuiteResult:
         tau_n = expsums.divisor_count(n)
         res.check("gap <= n tau(n)", gap <= n * tau_n, f"gap {gap} > n tau(n) at n={n}")
         res.check(
-            "lower gap", sums.variant_gap(n, "lower") == s - s_closed,
+            "lower gap",
+            sums.denominator_sum(n) - sums.denominator_sum(n, "closed") == s - s_closed,
             f"lower gap inconsistent at n={n}",
         )
     return res
@@ -426,25 +427,25 @@ def check_expsums(
     for q in [1, 2, 3, 5, 8, 16, 31, 64, 100, 128, 200, 256]:
         tol = 64 * q * EPS
         f = expsums.PeriodicFunction(
-            q, tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(q))
+            q, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(q)]
         )
         back = expsums.idft(expsums.dft(f))
         res.check(
-            "round trip", max(abs(back(n) - f(n)) for n in range(1, q + 1)) <= tol,
+            "round trip", np.abs(back.values - f.values).max() <= tol,
             f"round-trip fails at q={q}",
         )
         if q >= 2 and q <= 128:
-            even = expsums.PeriodicFunction(q, tuple(_random_even_values(q, rng)))
-            odd = expsums.PeriodicFunction(q, tuple(_random_odd_values(q, rng)))
+            even = expsums.PeriodicFunction(q, _random_even_values(q, rng))
+            odd = expsums.PeriodicFunction(q, _random_odd_values(q, rng))
             even_hat, odd_hat = expsums.dft(even), expsums.dft(odd)
             res.check(
                 "even transform",
-                even_hat.is_even(tol) and max(abs(v.imag) for v in even_hat.values) <= tol,
+                even_hat.is_even(tol) and np.abs(even_hat.values.imag).max() <= tol,
                 f"even transform not even real at q={q}",
             )
             res.check(
                 "odd transform",
-                odd_hat.is_odd(tol) and max(abs(v.real) for v in odd_hat.values) <= tol,
+                odd_hat.is_odd(tol) and np.abs(odd_hat.values.real).max() <= tol,
                 f"odd transform not odd imaginary at q={q}",
             )
 
@@ -456,12 +457,12 @@ def check_expsums(
         )
         n = np.arange(1, q + 1)
         roots = np.exp(2j * np.pi * (np.outer(n, n) % q) / q)
-        f = expsums.PeriodicFunction(q, tuple(values))
+        f = expsums.PeriodicFunction(q, values)
         for name, got, want in (
             ("dft", expsums.dft(f).values, roots.conj() @ values),
             ("idft", expsums.idft(f).values, roots @ values / q),
         ):
-            worst = float(np.abs(np.array(got) - want).max())
+            worst = float(np.abs(got - want).max())
             res.check(
                 "fft = direct", worst <= 64 * q * EPS,
                 f"{name} off the direct sum by {worst} at q={q}",
@@ -525,7 +526,7 @@ def check_expsums(
             f"sawtooth transform mismatch {worst} at q={q}",
         )
         if q >= 2:
-            total = sum(abs(f_hat(y)) for y in range(1, q))
+            total = np.abs(f_hat.values[:-1]).sum()
             res.check(
                 "transform sum bound", total <= q * math.log(q) / 2 + expsums.BOUND_SLACK,
                 f"transform sum bound fails at q={q}",
@@ -551,8 +552,9 @@ def check_expsums(
         n = rng.randint(1, q)
         lo = rng.randint(1, q)
         hi = rng.randint(lo, q)
+        total = expsums.twisted_b1_sum(lo, hi, q, n)
         res.check(
-            "twisted spot", expsums.twisted_b1_bound_check(lo, hi, q, n),
+            "twisted spot", expsums.exact_within_bound(total, expsums.twisted_b1_bound(q)),
             f"twisted bound check fails at q={q}, n={n}, [{lo},{hi}]",
         )
 
@@ -575,8 +577,10 @@ def check_expsums(
         n = rng.randint(1, 30)
         a = Fraction(rng.randint(0, 2 * s), 2)
         w = rng.randint(1, s)
+        total = expsums.weighted_b1_sum(s, a, a + w, n)
         res.check(
-            "weighted spot", expsums.weighted_b1_bound_check(s, a, a + w, n),
+            "weighted spot",
+            expsums.exact_within_bound(total, expsums.weighted_b1_bound(s, a, a + w)),
             f"weighted bound check fails at s={s}, a={a}, w={w}, n={n}",
         )
 
@@ -585,14 +589,14 @@ def check_expsums(
         scale = expsums.divisor_count(q) * expsums.beta(q) / math.sqrt(q)
         fns = [expsums.b1_table(q)]
         for _ in range(2):
-            fns.append(expsums.PeriodicFunction(q, tuple(_random_odd_values(q, rng))))
+            fns.append(expsums.PeriodicFunction(q, _random_odd_values(q, rng)))
         for f in fns:
             if not f.is_odd(1e-12):
                 res.fail("odd-function bound", f"odd test function construction broken at q={q}")
                 continue
             f_hat = expsums.dft(f)
-            rhs = scale * sum(abs(f_hat(y)) for y in range(1, q))
-            spread = _inverted_spreads(np.roll(np.real(f.values), 1))  # residue 0 first
+            rhs = scale * np.abs(f_hat.values[:-1]).sum()
+            spread = _inverted_spreads(np.roll(f.values.real, 1))  # residue 0 first
             res.check_all(
                 "odd-function bound", spread <= rhs + 1e-9,
                 lambda i: f"odd-function bound fails at q={q}, n={i + 1}",

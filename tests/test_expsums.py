@@ -21,8 +21,17 @@ def test_periodic_function_basics():
     f = expsums.PeriodicFunction(3, (1.0, 2.0, 3.0))
     assert f(1) == 1 and f(2) == 2 and f(3) == 3
     assert f(4) == 1 and f(0) == 3 and f(-1) == 2  # period-3 extension
+    assert isinstance(f(1), complex)
     g = expsums.PeriodicFunction.from_callable(4, lambda n: n * n)
-    assert g.values == (1, 4, 9, 16)
+    assert np.array_equal(g.values, [1, 4, 9, 16])
+    # the values are a read-only complex128 copy, not the caller's array
+    given = np.array([1, 2, 3], dtype=complex)
+    h = expsums.PeriodicFunction(3, given)
+    assert h.values.dtype == np.complex128 and not h.values.flags.writeable
+    with pytest.raises(ValueError):
+        h.values[0] = 5
+    given[0] = 5
+    assert h(1) == 1 and not np.shares_memory(h.values, given)
     with pytest.raises(ValueError):
         expsums.PeriodicFunction(2, (1.0,))
     with pytest.raises(ValueError):
@@ -36,6 +45,22 @@ def test_parity_classification():
     assert even.is_even() and not even.is_odd()
     assert odd.is_odd() and not odd.is_even()
     assert expsums.b1_table(12).is_odd()
+    # is_even / is_odd against the definitional loop over Python complexes on
+    # seeded near-even, near-odd and generic functions, with tolerances at
+    # and one float step either side of a deviation
+    rng = np.random.default_rng(14)
+    for q in range(1, 41):
+        n = np.arange(1, q + 1)
+        base = rng.uniform(-1, 1, q) + 1j * rng.uniform(-1, 1, q)
+        mirror = base[(-n - 1) % q]  # base at residue -n
+        for values in (base, base + mirror, base - mirror):
+            values = values + 1e-9 * (rng.uniform(-1, 1, q) + 1j * rng.uniform(-1, 1, q))
+            f = expsums.PeriodicFunction(q, values)
+            for sign, test in ((-1, f.is_even), (1, f.is_odd)):
+                gaps = [abs(complex(f(-m)) + sign * complex(f(m))) for m in range(1, q + 1)]
+                for gap in (0.0, 1e-12, 1e-9, max(gaps), min(gaps)):
+                    for tol in (math.nextafter(gap, 0), gap, math.nextafter(gap, 1)):
+                        assert test(tol) == all(g <= tol for g in gaps)
 
 
 def test_dft_of_constant():
@@ -283,8 +308,8 @@ def test_b1_residue_matches_b1():
 def test_b1_table_equals_b1_residue():
     # the vectorised table against the Fraction reference, float for float
     for q in [*range(1, 301), 1531]:
-        want = tuple(complex(float(expsums.b1_residue(n, q))) for n in range(1, q + 1))
-        assert expsums.b1_table(q).values == want
+        want = [float(expsums.b1_residue(n, q)) for n in range(1, q + 1)]
+        assert np.array_equal(expsums.b1_table(q).values, want)
 
 
 def test_b1_hat_closed_examples():
@@ -321,7 +346,8 @@ def test_twisted_b1_bound_spot():
         n = rng.randint(1, q)
         lo = rng.randint(1, q)
         hi = rng.randint(lo, q)
-        assert expsums.twisted_b1_bound_check(lo, hi, q, n)
+        total = expsums.twisted_b1_sum(lo, hi, q, n)
+        assert expsums.exact_within_bound(total, expsums.twisted_b1_bound(q))
 
 
 def test_weighted_b1_sum_examples():
@@ -336,7 +362,8 @@ def test_weighted_b1_bound_spot():
         n = rng.randint(1, 40)
         a = Fraction(rng.randint(0, 2 * s), 2)
         b = a + rng.randint(1, s)
-        assert expsums.weighted_b1_bound_check(s, a, b, n)
+        total = expsums.weighted_b1_sum(s, a, b, n)
+        assert expsums.exact_within_bound(total, expsums.weighted_b1_bound(s, a, b))
 
 
 def test_geometric_sum_bound_examples():

@@ -333,13 +333,13 @@ def test_exact_report_builds_pairs_once(monkeypatch):
 
 
 def test_variant_gap_examples():
-    assert sums.variant_gap(1, "upper") == 1
-    assert sums.variant_gap(2, "upper") == 3
+    assert sums.variant_gap(1) == 1
+    assert sums.variant_gap(2) == 3
 
 
 def test_variant_gap_routes_and_bound():
     for n in range(1, 301):
-        upper = sums.variant_gap(n, "upper")
+        upper = sums.variant_gap(n)
         assert upper == _grid_sum(n, "open") - _grid_sum(n, "half-open-right")
         direct = sum(
             min(r, s) for r, s in oracles.coprime_pairs_brute(n) if n % s == 0
@@ -347,7 +347,7 @@ def test_variant_gap_routes_and_bound():
         assert upper == direct
         tau = expsums.divisor_count(n)
         assert 0 <= upper <= n * tau
-        lower = sums.variant_gap(n, "lower")
+        lower = sums.denominator_sum(n) - sums.denominator_sum(n, "closed")
         assert lower == _grid_sum(n, "half-open-right") - _grid_sum(n, "closed")
         assert 0 <= lower <= n * tau
 
@@ -393,8 +393,6 @@ def test_rejects_out_of_range():
         sums.remainder(0)
     with pytest.raises(ValueError):
         sums.per_k_tables(0)
-    with pytest.raises(ValueError):
-        sums.variant_gap(3, "sideways")
 
 
 @settings(max_examples=30, deadline=None)

@@ -203,8 +203,8 @@ def test_check_variants_reads_the_grid_not_the_reflection(monkeypatch):
     # a reflected path that drops the last window of every half grid fails
     # "reflected sum" for all four variants at every n >= 2 (n = 1 has only
     # its middle window), while the checks on the per-window grid sums alone
-    # pass; "lower gap" compares variant_gap(n, "lower"), a reflected
-    # difference, with them and is left out here
+    # pass; "lower gap" compares denominator_sum(n) - denominator_sum(n,
+    # "closed"), a reflected difference, with them and is left out here
     half = minden.half_grid_blocks
     monkeypatch.setattr(
         sums, "half_grid_blocks", lambda n, v: (block[:-1] for block in half(n, v))
