@@ -42,10 +42,14 @@ product r s in _min_sums) reads the blocks alone; the sawtooth
 sums per_k_tables, remainder_parts, t11_leftover_sum and t2_quotient_groups
 read _pairs, which adds inverses.  The orders at which a pair sees a
 following gap below 1/n form one suffix of its adjacency range, found in
-closed form by _first_hit; exact sums add int64 numerators per denominator
-before any big-integer arithmetic.  S(n) adds up the int64 blocks of
-minden.half_grid_blocks and the direct window count those of
-minden.grid_blocks, never a list of all n denominators.
+closed form by _first_hit.  Exact sums (_fraction_sums) add int64
+numerators per denominator, then merge the terms pairwise.  Unbucketed sums
+run the first merge levels in int64, each only while the guard
+dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX holds (dmax the largest
+denominator, cmax the largest |numerator|), and finish in Python ints;
+remainder_parts merges its four parts as rows of one shared tree.  S(n)
+adds up the int64 blocks of minden.half_grid_blocks and the direct window
+count those of minden.grid_blocks, never a list of all n denominators.
 PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
 larger n raise OverflowError up front.
 """
@@ -164,32 +168,80 @@ def _b1_numerators(n: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _fraction_sums(
     den: np.ndarray, num: np.ndarray, bucket: Optional[np.ndarray] = None, size: int = 1
 ) -> list[Fraction]:
-    """out[b] = exact sum of num[i] / den[i] over the i with bucket[i] == b (all i if None).
+    """Exact sums of num[i] / den[i], per bucket or per row of num.
 
-    The int64 numerators are first added per (bucket, denominator).  Each
-    bucket's terms are then added pairwise, so the operands stay balanced in
-    size, and reduced to a Fraction once.
+    With bucket, num is one int64 row and out[b] sums the i with
+    bucket[i] == b, for b < size.  Without it, num is one row or a (k, m)
+    array of k rows over den, and out[i] is the sum of row i.  The int64
+    numerators are first added per (bucket, denominator) and zero terms are
+    dropped.  Without bucket, all rows then share one pairwise merge tree:
+    its first levels run in int64 while the guard of _int64_levels holds
+    (dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX, before every level),
+    and _pairwise_sums finishes it in Python ints.  Each bucket goes to
+    _pairwise_sums alone.
     """
+    rows = np.atleast_2d(num)
     width = int(den.max(initial=0)) + 1
-    keys = den if bucket is None else bucket * width + den
-    keys, where = np.unique(keys, return_inverse=True)
-    acc = np.zeros(keys.size, dtype=np.int64)
-    np.add.at(acc, where, num)
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for key, c in zip(keys.tolist(), acc.tolist()):
-        if c:
-            b, d = divmod(key, width)
-            terms[b].append((c, d))
-    out = []
-    for parts in terms:
-        while len(parts) > 1:
-            merged = []
-            for (c1, d1), (c2, d2) in zip(parts[::2], parts[1::2]):
-                g = math.gcd(d1, d2)
-                merged.append((c1 * (d2 // g) + c2 * (d1 // g), d1 // g * d2))
-            parts = merged + parts[2 * len(merged) :]
-        out.append(Fraction(*parts[0]) if parts else Fraction(0))
+    keys, where = np.unique(den if bucket is None else bucket * width + den, return_inverse=True)
+    acc = np.zeros((rows.shape[0], keys.size), dtype=np.int64)
+    for row, total in zip(rows, acc):
+        np.add.at(total, where, row)
+    keep = acc.any(axis=0)
+    keys, acc = keys[keep], acc[:, keep]
+    if bucket is None:
+        return _pairwise_sums(*_int64_levels(keys, acc))
+    b, d = np.divmod(keys, width)
+    starts = np.flatnonzero(np.diff(b, prepend=-1)).tolist()
+    b, d, c = b.tolist(), d.tolist(), acc[0].tolist()
+    out = [Fraction(0)] * size
+    for i, j in zip(starts, starts[1:] + [len(d)]):
+        out[b[i]] = _pairwise_sums(d[i:j], [c[i:j]])[0]
     return out
+
+
+def _int64_levels(den: np.ndarray, num: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """Merge levels of the fractions num[:, i] / den[i] in int64, while none can overflow.
+
+    A merge of c1/d1 and c2/d2 gives (c1 (d2/g) + c2 (d1/g)) / (d1/g d2) with
+    g = gcd(d1, d2), so with dmax = max den and cmax = max |num| a level
+    stays in int64 when dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX.
+    The first level that fails this guard, and every later one, is left to
+    _pairwise_sums, which gets the remaining terms as Python ints.
+    """
+    while den.size > 1:
+        dmax = int(den.max())
+        cmax = max(int(num.max()), -int(num.min()))
+        if dmax * dmax > INT64_MAX or 2 * cmax * dmax > INT64_MAX:
+            break
+        even = den.size & ~1
+        d1, d2 = den[0:even:2], den[1:even:2]
+        g = np.gcd(d1, d2)
+        a, b = d2 // g, d1 // g
+        merged = num[:, 0:even:2] * a + num[:, 1:even:2] * b
+        den = np.concatenate([b * d2, den[even:]])
+        num = np.concatenate([merged, num[:, even:]], axis=1)
+    return den.tolist(), num.tolist()
+
+
+def _pairwise_sums(den: list[int], rows: list[list[int]]) -> list[Fraction]:
+    """[sum of row[i] / den[i] over i, for each row], exactly, in Python ints.
+
+    The terms are merged pairwise in place, i with i + step for step = 1, 2,
+    4, ..., so the operands stay balanced in size; the rows share each
+    merge's gcd and denominator product, and each sum is reduced to a
+    Fraction once.
+    """
+    step = 1
+    while step < len(den):
+        for i in range(0, len(den) - step, 2 * step):
+            d1, d2 = den[i], den[i + step]
+            g = math.gcd(d1, d2)
+            a, b = d2 // g, d1 // g
+            den[i] = b * d2
+            for row in rows:
+                row[i] = row[i] * a + row[i + step] * b
+        step *= 2
+    return [Fraction(row[0], den[0]) if den else Fraction(0) for row in rows]
 
 
 def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
@@ -315,21 +367,38 @@ def remainder_parts(n: int) -> RemainderParts:
 
     All four parts are sums of b1(n * inv(r, s) / s) over coprime pairs with
     r s <= n, weighted by how many orders k the pair stays adjacent while the
-    following gap is already below 1/n.
+    following gap is already below 1/n.  The four weighted rows share the
+    denominators 2 s, so one _fraction_sums call adds them over one merge tree.
+    """
+    t1, t11, t12, t2 = _fraction_sums(*_part_rows(n))
+    return RemainderParts(t1 + t2, t1, t11, t12, t2)
+
+
+def _part_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The denominators 2 s and the (4, m) numerator rows of T1, T11, T12, T2 over _pairs(n).
+
+    The rows are built in place in one array; the pair arrays are dropped on
+    return, before the merge.
     """
     r, s, u = _pairs(n)
-    b1_num = _b1_numerators(n, s, u)
-    hits = np.maximum(0, r + s - _first_hit(n, r, s))
+    rows = np.empty((4, r.size), dtype=np.int64)
+    w1, w11, w12, w2 = rows
+    # T1 (r < s) and T2 (r > s) weigh each pair by its hitting orders; (1, 1)
+    # is in neither, its sawtooth value is 0
+    np.subtract(r, _first_hit(n, r, s), out=w1)
+    w1 += s
+    np.maximum(w1, 0, out=w1)
+    np.multiply(w1, r > s, out=w2)
+    w1 *= r < s
     # T11 and T12 split the orders k in [s, r + s) of r < s by j = 1 and j = 2;
-    # s t > n for the next denominator t is t > n // s
-    w11 = np.where(s - r > n // s, np.minimum(r, s - r), 0)
-    w12 = np.where(2 * s - r > n // s, np.clip(2 * r - s, 0, s), 0)
-    below, above = r < s, r > s  # (1, 1) is in neither; its sawtooth value is 0
-    t1, t11, t12, t2 = (
-        _fraction_sums(2 * s[side], (weight * b1_num)[side])[0]
-        for side, weight in ((below, hits), (below, w11), (below, w12), (above, hits))
-    )
-    return RemainderParts(t1 + t2, t1, t11, t12, t2)
+    # s t > n for the next denominator t is t > n // s, which no pair r >= s meets
+    cap = n // s
+    np.minimum(r, s - r, out=w11)
+    w11 *= s - r > cap
+    np.clip(2 * r - s, 0, s, out=w12)
+    w12 *= 2 * s - r > cap
+    rows *= _b1_numerators(n, s, u)
+    return 2 * s, rows
 
 
 def t11_leftover_sum(n: int) -> Fraction:

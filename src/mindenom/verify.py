@@ -316,11 +316,11 @@ def check_variants(max_n: int = 500) -> SuiteResult:
             variant: sum(int(block.sum()) for block in minden.grid_blocks(n, variant))
             for variant in minden.VARIANT_FLAGS
         }
+        reflected = {variant: sums.denominator_sum(n, variant) for variant in grid}
         for variant, s_grid in grid.items():
-            s_reflected = sums.denominator_sum(n, variant)
             res.check(
-                "reflected sum", s_reflected == s_grid,
-                f"denominator_sum({n}, {variant!r}) = {s_reflected} != grid sum {s_grid}",
+                "reflected sum", reflected[variant] == s_grid,
+                f"denominator_sum({n}, {variant!r}) = {reflected[variant]} != grid sum {s_grid}",
             )
         s, s_left = grid["half-open-right"], grid["half-open-left"]
         s_closed, s_open = grid["closed"], grid["open"]
@@ -335,7 +335,7 @@ def check_variants(max_n: int = 500) -> SuiteResult:
         res.check("gap <= n tau(n)", gap <= n * tau_n, f"gap {gap} > n tau(n) at n={n}")
         res.check(
             "lower gap",
-            sums.denominator_sum(n) - sums.denominator_sum(n, "closed") == s - s_closed,
+            reflected["half-open-right"] - reflected["closed"] == s - s_closed,
             f"lower gap inconsistent at n={n}",
         )
     return res

@@ -129,6 +129,11 @@ def sawtooth_brute(n, k):
     return total
 
 
+def fraction_sum_brute(den, num):
+    """The exact sum of num[i] / den[i], one Fraction per term."""
+    return sum((Fraction(int(c), int(d)) for d, c in zip(den, num)), Fraction(0))
+
+
 def dft_brute(values, x):
     """Literal transform sum over one period; values indexed by residue 1..q."""
     q = len(values)

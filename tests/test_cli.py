@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -40,6 +41,17 @@ def test_compute_n1(capsys):
     assert lines["S"] == "1"
     assert lines["R"] == "0"
     assert "R_over_bound" not in lines  # undefined at the first grid size
+
+
+def test_compute_output_is_pinned(capsys):
+    # sha256 of the concatenated stdout of compute --n N for N = 1..300 and
+    # N = 1999, recorded before the exact sums took their int64 merge levels
+    digest = hashlib.sha256()
+    for n in [*range(1, 301), 1999]:
+        code, out, _ = run_cli(capsys, "compute", "--n", str(n))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "84d679168163884dece91d55bae3d6e34d5b7347ffb0b9a65e4e88f63b0da2df"
 
 
 def test_compute_s_only_large(capsys):

@@ -321,15 +321,109 @@ def test_t2_quotient_groups():
 
 def test_exact_report_builds_pairs_once(monkeypatch):
     calls = []
-    for name in ("_pairs", "block_inverses"):
+    for name in ("_pairs", "block_inverses", "_fraction_sums"):
         real = getattr(sums, name)
         monkeypatch.setattr(sums, name, lambda *a, f=real: calls.append(f.__name__) or f(*a))
     sums.sum_report(300)
     assert calls.count("_pairs") == 1
     calls.clear()
+    sums.remainder_parts(300)  # the four parts share one merge tree
+    assert calls.count("_fraction_sums") == 1
+    calls.clear()
     sums.window_integral(300)
     sums.window_integral_series(300)
-    assert calls == []
+    assert "_pairs" not in calls and "block_inverses" not in calls
+
+
+def test_remainder_parts_memory_is_bounded():
+    # the four weight rows are built in place in one (4, m) array, with no
+    # masked copy per part; 13 pair-length int64 arrays leave room over the
+    # 11.1 measured at this n
+    n = 10**5
+    pairs = sums._pairs(n)[0].size
+    sums.remainder_parts(7)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        sums.remainder_parts(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 8 * pairs
+
+
+def _check_fraction_sums(den, num, bucket=None, size=1):
+    """_fraction_sums against one Fraction per term, row by row or bucket by bucket."""
+    den, num = np.array(den, dtype=np.int64), np.array(num, dtype=np.int64)
+    if bucket is None:
+        want = [oracles.fraction_sum_brute(den, row) for row in np.atleast_2d(num)]
+        assert sums._fraction_sums(den, num) == want
+    else:
+        bucket = np.array(bucket, dtype=np.int64)
+        want = [oracles.fraction_sum_brute(den[bucket == b], num[bucket == b]) for b in range(size)]
+        assert sums._fraction_sums(den, num, bucket, size) == want
+
+
+@pytest.mark.parametrize(
+    "den, num",
+    [
+        ([], []),  # empty, one row
+        ([], [[], []]),  # empty, two rows
+        ([7], [-3]),  # a single term
+        ([7], [[-3], [0], [5]]),
+        ([4, 6, 4, 9, 1], [3, -1, -3, 0, 2]),  # odd length, a cancelling denominator
+        ([5, 3, 5, 10, 7, 2, 3], [[1, -2, 3, -4, 5, -6, 7], [0] * 7, [-9] * 7]),  # an all-zero row
+        ([2, 4, 8], [[0, 0, 0], [1, 1, -2]]),
+    ],
+)
+def test_fraction_sums_edges(den, num):
+    _check_fraction_sums(den, num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(1, 60), st.integers(0, 3)), max_size=50),
+    st.data(),
+)
+def test_fraction_sums_match_oracle(k, terms, data):
+    den = [d for d, _ in terms]
+    row = st.lists(st.integers(-(10**6), 10**6), min_size=len(den), max_size=len(den))
+    rows = [data.draw(row) for _ in range(k)]
+    _check_fraction_sums(den, rows)
+    _check_fraction_sums(den, rows[0])
+    _check_fraction_sums(den, rows[0], [b for _, b in terms], 4)
+
+
+#: The int64 guard of _int64_levels: dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX.
+DMAX = math.isqrt(sums.INT64_MAX)
+#: With the denominators (D - 1, D), numerators C pass the guard and C + 1 fail it,
+#: and (C + 1)(2 D - 1) > INT64_MAX, so the merge past the guard would wrap.
+D = 2**31 - 1
+C = sums.INT64_MAX // (2 * D)
+
+
+@pytest.mark.parametrize(
+    "den, num, levels",
+    [
+        # dmax at the guard: one level, then the products near DMAX^2 stop it
+        ([DMAX - 2, DMAX - 1, DMAX], [[1, 1, 1], [-1, 2, -3]], 1),
+        # dmax one above: no level; a second one would wrap the product
+        ([DMAX - 1, DMAX, DMAX + 1], [[1, 1, 1], [-1, 2, -3]], 0),
+        # a product that wraps, with numerators far inside the 2 cmax dmax bound
+        ([DMAX + 1, DMAX + 2], [[1, 1]], 0),
+        ([D - 1, D], [[C, C], [-C, -C]], 1),  # 2 cmax dmax at the guard
+        ([D - 1, D], [[C + 1, C + 1], [0, 0]], 0),  # one above, from num.max()
+        ([D - 1, D], [[-C - 1, -C - 1]], 0),  # one above, from num.min()
+        ([2**k for k in range(21)], [[(-1) ** k * k for k in range(21)]], 5),  # to one term
+        (list(range(1, 65)), [list(range(-32, 32))], 3),  # three levels, then the guard fails
+    ],
+)
+def test_int64_levels_guard(den, num, levels):
+    # an int64 array overflow wraps silently, so without the guard the rows
+    # one above it come out wrong
+    merged, _ = sums._int64_levels(np.array(den, dtype=np.int64), np.array(num, dtype=np.int64))
+    assert len(merged) == -(-len(den) // 2**levels)
+    _check_fraction_sums(den, num)
 
 
 def test_variant_gap_examples():
