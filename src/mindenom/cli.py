@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -60,7 +61,9 @@ def _fmt(value: object) -> str:
     if isinstance(value, bool):
         raise TypeError("no boolean report fields")
     if isinstance(value, (int, Fraction)):
-        return str(value)
+        # Decimal prints every digit; str() of an int refuses more than 4300
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
     if isinstance(value, float):
         return format(value, ".12g")
     raise TypeError(f"cannot format {value!r}")

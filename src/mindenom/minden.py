@@ -23,26 +23,41 @@ All four boundary variants (each end open or closed) are supported; single
 points {a/b} are allowed when both ends are closed and give b.
 
 The n grid windows ](j-1)/n, j/n] are solved in blocks (grid_blocks): CHUNK
-consecutive windows run the "fast" descent in lockstep on numpy int64
+consecutive windows run the "fast" descent in lockstep on numpy integer
 arrays.  All windows of a block start with the same boundary flags and every
 window still in the block swaps them at every level, so the flags stay
 scalars.  At each level, with lo = an/ad and hi = bn/bd, the smallest
 admissible integer is c = floor(lo) + (lo is not an integer, or lo is open).
 A window fits when c*bd < bn, or c*bd == bn with the upper end closed
-(bd == 0, an upper end of +infinity, fits through c*bd = 0), and leaves the
-block with denominator q1*c + q0.  The others strip m = floor(lo), invert
-and swap their flags, exactly as _simplest_in does, which stays the scalar
-reference.  Memory is O(CHUNK) for any n.
+(bd == 0, an upper end of +infinity, fits through c*bd = 0), and is resolved
+with denominator q1*c + q0.  The others strip m = floor(lo), invert and swap
+their flags, exactly as _simplest_in does, which stays the scalar reference.
+Memory is O(CHUNK) for any n.
+
+Parked windows: a resolved window stays in the arrays in the state
+(an, ad, bn, bd) = PARKED = (0, -1, -1, 0).  There m = rem = 0 and
+c*bd = 0 > -1 = bn, so it never fits under either pair of flags, never
+divides by zero, and the level maps it onto itself.  Live windows keep
+ad > 0: ad starts at n, and a window that does not fit has bd > 0 (bd == 0
+fits) and hi > floor(lo) = m, so its next ad = bn - m*bd is positive.  Once
+half of the arrays are parked, the state is compacted to the windows with
+ad > 0 that did not fit at that level.  So a block is compacted at most
+log2(CHUNK) + 1 times instead of at every level that resolves a window, and
+every level works on fewer than twice the live windows.
 
 Integer width: the inversion keeps an*bd - ad*bn = -n at every level and
 the four endpoint terms stay in 0..n, so c*bd <= (an/ad + 1) bd
 = bn - n/ad + bd < 2n; every denominator is at most 2n (the open window
-contains (2j - 1)/(2n)).  So no value of the descent exceeds 2n, and the
-int64 sum of any block stays <= 2n*CHUNK; that holds for the blocks of
-half_grid_blocks, which sums.denominator_sum adds, as for those of
-grid_blocks.  GRID_MAX_N is the largest n for which 2n*CHUNK fits int64;
-grid_blocks and half_grid_blocks raise OverflowError above it before
-anything is allocated.
+contains (2j - 1)/(2n)).  So no value of the descent exceeds 2n (c*bd
+reaches 2n - 2 at the open window j = n), and neither do the parked
+values 0 and -1 or the swap q1, q0 = q0, q1 that m = 0 makes of a parked
+window.  The descent holds its state in int32 when 2n <= INT32_MAX, that is
+n <= 2**30 - 1, and in int64 above; the width depends on n alone.  Its
+denominators are int64 either way, and the int64 sum of any block stays
+<= 2n*CHUNK; that holds for the blocks of half_grid_blocks, which
+sums.denominator_sum adds, as for those of grid_blocks.  GRID_MAX_N is the
+largest n for which 2n*CHUNK fits int64; grid_blocks and half_grid_blocks
+raise OverflowError above it before anything is allocated.
 
 Reflection: t -> 1 - t maps the window ](j-1)/n, j/n] onto
 [(n-j)/n, (n+1-j)/n[, the window n + 1 - j with both boundary flags swapped,
@@ -80,6 +95,13 @@ CHUNK = 1 << 14
 
 #: Largest grid size of the grid solver: 2n*CHUNK <= 2**63 - 1 (2**48 - 1).
 GRID_MAX_N = (2**63 - 1) // (2 * CHUNK)
+
+#: The grid descent holds its state in int32 while 2n <= INT32_MAX.
+INT32_MAX = 2**31 - 1
+
+#: (an, ad, bn, bd) of a resolved window left in the grid descent: a fixed
+#: point of the level map that never fits (see the module docstring).
+PARKED = (0, -1, -1, 0)
 
 
 @dataclass(frozen=True)
@@ -256,26 +278,35 @@ def _blocks(n: int, stop: int, variant: Variant) -> Iterator[np.ndarray]:
 
 
 def _descend_block(n: int, j: np.ndarray, a_open: bool, b_open: bool) -> np.ndarray:
-    """Denominators of _simplest_in(j - 1, n, a_open, j, n, b_open) for an int64 array j."""
+    """Denominators of _simplest_in(j - 1, n, a_open, j, n, b_open) for an integer array j.
+
+    The descent runs in int32 when 2n fits it and in int64 above; q is int64.
+    """
+    j = j.astype(np.int32 if 2 * n <= INT32_MAX else np.int64)
     q = np.empty(j.size, dtype=np.int64)
     at = np.arange(j.size)
     an, ad, bn, bd = j - 1, np.full_like(j, n), j, np.full_like(j, n)
     q1, q0 = np.zeros_like(j), np.ones_like(j)
-    while at.size:
+    live = j.size
+    while live > 0:
         m, rem = np.divmod(an, ad)
         c = m + 1 if a_open else m + (rem != 0)
         cbd = c * bd
         fit = cbd < bn if b_open else cbd <= bn
         hit = np.flatnonzero(fit)
-        if hit.size:  # the first levels rarely resolve a window: skip the copies
+        if hit.size:
             q[at[hit]] = q1[hit] * c[hit] + q0[hit]
-            stay = np.flatnonzero(~fit)
-            at, m, an, ad, bn, bd, q1, q0, rem = (
-                x[stay] for x in (at, m, an, ad, bn, bd, q1, q0, rem)
-            )
+            live -= hit.size
         an, ad, bn, bd = bd, bn - m * bd, ad, rem
         q1, q0 = q1 * m + q0, q1
         a_open, b_open = b_open, a_open
+        if 2 * live <= at.size:
+            # half the arrays resolved: keep the windows that were live before
+            # this level (bn holds their old ad > 0) and not resolved at it
+            stay = np.flatnonzero((bn > 0) & ~fit)
+            at, an, ad, bn, bd, q1, q0 = (x[stay] for x in (at, an, ad, bn, bd, q1, q0))
+        elif hit.size:
+            an[hit], ad[hit], bn[hit], bd[hit] = PARKED
     return q
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,22 @@ def test_compute_output_is_pinned(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == "84d679168163884dece91d55bae3d6e34d5b7347ffb0b9a65e4e88f63b0da2df"
+
+
+def test_compute_prints_every_digit(capsys):
+    # from N = 9859 on a report numerator has more than 4300 digits, which
+    # str() of an int refuses; int(Decimal) parses them back with no limit
+    n = 9859
+    code, out, _ = run_cli(capsys, "compute", "--n", str(n), "--budget", str(n))
+    assert code == 0
+    lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert max(len(part) for value in lines.values() for part in value.split("/")) > 4300
+    report = sums.sum_report(n)
+    for key, attr in cli._REPORT_KEYS:
+        value = getattr(report, attr)
+        if not isinstance(value, float):
+            num, _, den = lines[key].partition("/")
+            assert Fraction(int(Decimal(num)), int(Decimal(den or "1"))) == value, key
 
 
 def test_compute_s_only_large(capsys):

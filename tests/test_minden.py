@@ -96,13 +96,18 @@ def test_grid_size_limit():
     rng = random.Random(3)
     # at the limit the first block, its int64 sum and sampled windows across
     # the grid agree with the Python-int descent; the descent alone stays
-    # exact up to n = (2**63 - 1) // 2, where its values reach 2n
+    # exact up to n = (2**63 - 1) // 2, where its values reach 2n.  Its int32
+    # state ends at n = 2**30 - 1, where the open window j = n reaches
+    # c*bd = 2n - 2 = 2**31 - 4; at n = 2**30 + 1 that value would wrap int32
     for variant, (lo_closed, hi_closed) in minden.VARIANT_FLAGS.items():
         first = next(minden.grid_blocks(limit, variant))
         expect = [minden.min_denominator_grid(limit, j, variant) for j in range(1, chunk + 1)]
         assert first.tolist() == expect and int(first.sum()) == sum(expect)
         assert next(minden.half_grid_blocks(limit, variant)).tolist() == expect
-        for n in (limit, int64_max // 2):
+        for n in (2, limit):
+            for blocks in (minden.grid_blocks, minden.half_grid_blocks):
+                assert next(blocks(n, variant)).dtype == np.int64
+        for n in (2**30 - 1, 2**30, 2**30 + 1, limit, int64_max // 2):
             js = [1, 2, n - 1, n] + [rng.randint(1, n) for _ in range(200)]
             got = minden._descend_block(
                 n, np.array(js, dtype=np.int64), not lo_closed, not hi_closed
