@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -171,15 +172,26 @@ def coprime_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
 def block_inverses(a: int, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) with x = inv(a, L) in 1..L and y = inv(L, a) in 1..a, for each L of a block.
 
-    y is looked up in one table of inverses mod a; x then follows from the
+    y is looked up in the table unit_inverses(a); x then follows from the
     identity a*x + L*y = 1 + a*L, so no inverse is computed per pair.  For a
     block of coprime_blocks(n) every product here stays <= n (a*L <= n and
     L*y <= L*a).  The n^2 bound belongs to the callers: their b1 numerators
     n*x and n*y reach n*L, which sums._pairs guards.
     """
-    table = np.array(
-        [a] + [pow(u, -1, a) if math.gcd(u, a) == 1 else 0 for u in range(1, a)],
-        dtype=np.int64,
-    )
-    y = table[big % a]
+    y = unit_inverses(a)[big % a]
     return (1 + a * big - big * y) // a, y
+
+
+@lru_cache(maxsize=256)
+def unit_inverses(q: int) -> np.ndarray:
+    """inv_mod(u, q) in 1..q at the units u of 0..q-1, 0 at the other u; a read-only int64 array.
+
+    The cache keeps the tables of the last 256 moduli, so repeated calls
+    with the same small q (the blocks a <= isqrt(n) of every n, verify's
+    moduli) build each table once.
+    """
+    table = np.array(
+        [inv_mod(u, q) if math.gcd(u, q) == 1 else 0 for u in range(q)], dtype=np.int64
+    )
+    table.flags.writeable = False
+    return table

@@ -37,19 +37,25 @@ variant sum solves n // 2 windows (plus one scalar middle window for odd n)
 and sum_report solves about n windows for all four.
 
 Every pair sum takes its pairs from the block kernel farey.coprime_blocks.
-The integral W(n) = 1 + P - Q/n (P and Q sum 1/max(r, s) and min(r, s), per
-product r s in _min_sums) reads the blocks alone; the sawtooth
-sums per_k_tables, remainder_parts, t11_leftover_sum and t2_quotient_groups
-read _pairs, which adds inverses.  The orders at which a pair sees a
+window_integral reads the blocks alone, for W(n) = 1 + P - Q/n (P and Q sum
+1/max(r, s) and min(r, s), per product r s in _min_sums); the sawtooth sums
+per_k_tables, remainder_parts, t11_leftover_sum and t2_quotient_groups read
+_pairs, which adds inverses, and sum_report takes P with T1, T11, T12 and T2
+from one _pairs pass (_pair_rows).  The orders at which a pair sees a
 following gap below 1/n form one suffix of its adjacency range, found in
-closed form by _first_hit.  Exact sums (_fraction_sums) add int64
-numerators per denominator, then merge the terms pairwise.  Unbucketed sums
-run the first merge levels in int64, each only while the guard
-dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX holds (dmax the largest
-denominator, cmax the largest |numerator|), and finish in Python ints;
-remainder_parts merges its four parts as rows of one shared tree.  S(n)
-adds up the int64 blocks of minden.half_grid_blocks and the direct window
-count those of minden.grid_blocks, never a list of all n denominators.
+closed form by _first_hit.  Exact sums over the denominators 2 d, d <= n
+(_dense_sums: W, the sawtooth parts, t11_leftover_sum) add each int64
+numerator row into a dense (rows, n + 1) accumulator indexed by d, with no
+sort, and merge all rows over one pairwise tree.  Its leaves are ordered by
+the rough part of d (1, or the one prime factor of d above sqrt(n)), so
+neighbours share their large prime; its first levels run in int64, each only
+while the guard dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX holds (dmax
+the largest denominator, cmax the largest |numerator|), and Python ints
+finish it.  The bucketed sums of per_k_tables and t2_quotient_groups
+(_fraction_sums) add the numerators per (bucket, denominator) and merge each
+bucket alone in Python ints.  S(n) adds up the int64 blocks of
+minden.half_grid_blocks and the direct window count those of
+minden.grid_blocks, never a list of all n denominators.
 PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
 larger n raise OverflowError up front.
 """
@@ -166,37 +172,73 @@ def _b1_numerators(n: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _fraction_sums(
-    den: np.ndarray, num: np.ndarray, bucket: Optional[np.ndarray] = None, size: int = 1
+    den: np.ndarray, num: np.ndarray, bucket: np.ndarray, size: int
 ) -> list[Fraction]:
-    """Exact sums of num[i] / den[i], per bucket or per row of num.
+    """Exact sums of num[i] / den[i] per bucket: out[b] sums the i with bucket[i] == b, b < size.
 
-    With bucket, num is one int64 row and out[b] sums the i with
-    bucket[i] == b, for b < size.  Without it, num is one row or a (k, m)
-    array of k rows over den, and out[i] is the sum of row i.  The int64
-    numerators are first added per (bucket, denominator) and zero terms are
-    dropped.  Without bucket, all rows then share one pairwise merge tree:
-    its first levels run in int64 while the guard of _int64_levels holds
-    (dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX, before every level),
-    and _pairwise_sums finishes it in Python ints.  Each bucket goes to
-    _pairwise_sums alone.
+    The int64 numerators are first added per (bucket, denominator), zero
+    terms are dropped, and each bucket goes to _pairwise_sums alone.
     """
-    rows = np.atleast_2d(num)
     width = int(den.max(initial=0)) + 1
-    keys, where = np.unique(den if bucket is None else bucket * width + den, return_inverse=True)
-    acc = np.zeros((rows.shape[0], keys.size), dtype=np.int64)
-    for row, total in zip(rows, acc):
-        np.add.at(total, where, row)
-    keep = acc.any(axis=0)
-    keys, acc = keys[keep], acc[:, keep]
-    if bucket is None:
-        return _pairwise_sums(*_int64_levels(keys, acc))
-    b, d = np.divmod(keys, width)
+    keys, where = np.unique(bucket * width + den, return_inverse=True)
+    acc = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(acc, where, num)
+    keep = acc != 0
+    b, d = np.divmod(keys[keep], width)
     starts = np.flatnonzero(np.diff(b, prepend=-1)).tolist()
-    b, d, c = b.tolist(), d.tolist(), acc[0].tolist()
+    b, d, c = b.tolist(), d.tolist(), acc[keep].tolist()
     out = [Fraction(0)] * size
     for i, j in zip(starts, starts[1:] + [len(d)]):
         out[b[i]] = _pairwise_sums(d[i:j], [c[i:j]])[0]
     return out
+
+
+def _rough_parts(n: int) -> np.ndarray:
+    """x[d] for d = 0..n: d with every prime factor p <= isqrt(n) divided out.
+
+    A d <= n has at most one prime factor above isqrt(n), to the first
+    power, so x[d] is 1 or that prime (x[0] = 0).  Each prime power p^k <= n
+    divides p out of its multiples once: x[p^k::p^k] //= p.
+    """
+    root = math.isqrt(n)
+    prime = np.ones(root + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    x = np.arange(n + 1, dtype=np.int64)
+    for p in np.flatnonzero(prime).tolist():
+        q = p
+        while q <= n:
+            x[q::q] //= p
+            q *= p
+    return x
+
+
+def _dense_sums(acc: np.ndarray) -> list[Fraction]:
+    """[sum of acc[i, d] / (2 d) over d = 1..D] for each row i of a (k, D + 1) int64 array, exactly.
+
+    acc is a dense accumulator: every row of numerators over 2 d has been
+    added into column d (column 0 stays 0), so no sort finds the distinct
+    denominators.  The nonzero columns become the leaves of one merge tree
+    that all rows share, ordered by the rough part of d (_rough_parts: 1 or
+    one prime p > sqrt(D)), then by d.  Neighbouring leaves then share their
+    large prime, so the lcm of a merge grows by the small factors only.  The
+    first levels run in int64 while the guard of _int64_levels holds;
+    _pairwise_sums finishes in Python ints.
+
+    int64 bound of the accumulation, for the rows of _pair_rows(n) with
+    D = n (t11_leftover_sum's row and window_integral's 2 c are alike).  A T
+    row adds, at d = s, w (2 e - s) for the pairs (r, s) with r s <= n,
+    where |2 e - s| < s and the weight w <= min(r, s); so
+    |acc[i, s]| < s (M (M + 1) / 2), M = n // s, which is at most n^2 / s.
+    Row 0 holds 2 c_m at d = m, where c_m sums min(r, s) <= sqrt(m) over the
+    at most tau(m) <= 2 sqrt(m) pairs with r s = m, so 0 <= acc[0, m] <= 4 m.
+    Both are at most max(n^2, 4 n) <= INT64_MAX for every n <= PAIRS_MAX_N.
+    """
+    d = np.flatnonzero(acc.any(axis=0))
+    d = d[np.argsort(_rough_parts(acc.shape[1] - 1)[d], kind="stable")]
+    return _pairwise_sums(*_int64_levels(2 * d, acc[:, d]))
 
 
 def _int64_levels(den: np.ndarray, num: np.ndarray) -> tuple[list[int], list[list[int]]]:
@@ -307,8 +349,13 @@ def window_integral(n: int) -> Fraction:
     Summing min(r, s) (1/(r s) - 1/n) over the pairs gives W = 1 + P - Q/n
     with P = sum min(r, s)/(r s) = sum 1/max(r, s) and Q = sum min(r, s).
     """
-    c = _min_sums(n)[1:]
-    return 1 + _fraction_sums(np.arange(1, n + 1), c)[0] - Fraction(int(c.sum()), n)
+    c = _min_sums(n)
+    return _integral(n, _dense_sums(2 * c[None])[0], int(c.sum()))
+
+
+def _integral(n: int, p: Fraction, q: int) -> Fraction:
+    """W = 1 + P - Q/n from P = sum of min(r, s)/(r s) and Q = sum of min(r, s) over the pairs."""
+    return 1 + p - Fraction(q, n)
 
 
 def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
@@ -322,7 +369,7 @@ def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
     for n, c_n in enumerate(_min_sums(max_n).tolist()[1:], start=1):
         p_acc += Fraction(c_n, n)
         q_acc += c_n
-        out.append(1 + p_acc - Fraction(q_acc, n))
+        out.append(_integral(n, p_acc, q_acc))
     return out
 
 
@@ -368,19 +415,39 @@ def remainder_parts(n: int) -> RemainderParts:
     All four parts are sums of b1(n * inv(r, s) / s) over coprime pairs with
     r s <= n, weighted by how many orders k the pair stays adjacent while the
     following gap is already below 1/n.  The four weighted rows share the
-    denominators 2 s, so one _fraction_sums call adds them over one merge tree.
+    denominators 2 s, so one _dense_sums call adds them over one merge tree
+    (row 0 of _pair_rows, W's, is left out of it).
     """
-    t1, t11, t12, t2 = _fraction_sums(*_part_rows(n))
+    return _parts(*_dense_sums(_pair_rows(n)[1:]))
+
+
+def _parts(t1: Fraction, t11: Fraction, t12: Fraction, t2: Fraction) -> RemainderParts:
+    """The RemainderParts of the four sums, with T = T1 + T2."""
     return RemainderParts(t1 + t2, t1, t11, t12, t2)
 
 
-def _part_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The denominators 2 s and the (4, m) numerator rows of T1, T11, T12, T2 over _pairs(n).
+def _pair_rows(n: int) -> np.ndarray:
+    """The (5, n + 1) int64 numerators over 2 d of P (for W) and T1, T11, T12, T2, summed per d.
 
-    The rows are built in place in one array; the pair arrays are dropped on
-    return, before the merge.
+    One _pairs(n) pass.  Row 0 adds 2 min(r, s) at d = r s, so it is 2 c_m
+    at m with c = _min_sums(n); rows 1-4 add the _part_numerators of each
+    pair at d = s.  The pair arrays are dropped on return, before the merge.
     """
     r, s, u = _pairs(n)
+    rows = _part_numerators(n, r, s, u)  # the peak, before acc exists
+    acc = np.zeros((5, n + 1), dtype=np.int64)
+    np.add.at(acc[0], r * s, 2 * np.minimum(r, s))
+    for row, total in zip(rows, acc[1:]):
+        np.add.at(total, s, row)
+    return acc
+
+
+def _part_numerators(n: int, r: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (4, m) numerators over 2 s of T1, T11, T12, T2 for each pair of _pairs(n).
+
+    Each is the pair's weight times its b1 numerator; the weight rows are
+    built in place in one array, with no masked copy per part.
+    """
     rows = np.empty((4, r.size), dtype=np.int64)
     w1, w11, w12, w2 = rows
     # T1 (r < s) and T2 (r > s) weigh each pair by its hitting orders; (1, 1)
@@ -398,7 +465,7 @@ def _part_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     np.clip(2 * r - s, 0, s, out=w12)
     w12 *= 2 * s - r > cap
     rows *= _b1_numerators(n, s, u)
-    return 2 * s, rows
+    return rows
 
 
 def t11_leftover_sum(n: int) -> Fraction:
@@ -412,7 +479,9 @@ def t11_leftover_sum(n: int) -> Fraction:
     r, s, u = _pairs(n)
     leftover = np.maximum(0, (r + s) - np.maximum(s, 2 * s - r))
     weight = np.where((r < s) & (2 * r > s) & (s - r > n // s), leftover, 0)
-    return _fraction_sums(2 * s, weight * _b1_numerators(n, s, u))[0]
+    acc = np.zeros((1, n + 1), dtype=np.int64)
+    np.add.at(acc[0], s, weight * _b1_numerators(n, s, u))
+    return _dense_sums(acc)[0]
 
 
 def t2_quotient_groups(n: int) -> dict[int, Fraction]:
@@ -516,15 +585,18 @@ def sum_report(n: int) -> SumReport:
     windows of one variant onto those of the other (verify.check_variants
     still computes it from the per-window grid).  S = S_open - variant_gap(n)
     as in denominator_sum, so the open and closed half grids are the only
-    windows solved, about n in all.
+    windows solved, about n in all.  W and the four sawtooth parts come from
+    one _pairs pass (_pair_rows) and one _dense_sums call over its five rows.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     s_open = denominator_sum(n, "open")
     s = s_open - variant_gap(n)
-    integral = window_integral(n)
+    acc = _pair_rows(n)
+    p, *rows = _dense_sums(acc)
+    integral = _integral(n, p, int(acc[0].sum()) // 2)
     r = s - n * integral
-    parts = remainder_parts(n)
+    parts = _parts(*rows)
     if n == 1:
         r_over_bound = None
     else:

@@ -371,9 +371,8 @@ def _inverted_values(table: np.ndarray, n, r: np.ndarray) -> np.ndarray:
     n is an int or an int64 array that broadcasts against r.
     """
     s = len(table)
-    inv = np.array([pow(u, -1, s) if math.gcd(u, s) == 1 else 0 for u in range(s)])
     # n inv(r) mod s depends only on n mod s; reducing first keeps any int n in int64
-    return np.where(np.gcd(r, s) == 1, table[n % s * inv[r % s] % s], 0)
+    return np.where(np.gcd(r, s) == 1, table[n % s * farey.unit_inverses(s)[r % s] % s], 0)
 
 
 def _inverted_spreads(table: np.ndarray) -> np.ndarray:

@@ -321,18 +321,28 @@ def test_t2_quotient_groups():
 
 def test_exact_report_builds_pairs_once(monkeypatch):
     calls = []
-    for name in ("_pairs", "block_inverses", "_fraction_sums"):
+    for name in ("_pairs", "block_inverses", "_fraction_sums", "_dense_sums"):
         real = getattr(sums, name)
-        monkeypatch.setattr(sums, name, lambda *a, f=real: calls.append(f.__name__) or f(*a))
+        monkeypatch.setattr(
+            sums, name, lambda *a, f=real: calls.append((f.__name__, a)) or f(*a)
+        )
+
+    def finisher_rows():
+        """The row count of every _dense_sums call since the last clear."""
+        return [a[0].shape[0] for name, a in calls if name == "_dense_sums"]
+
     sums.sum_report(300)
-    assert calls.count("_pairs") == 1
+    names = [name for name, _ in calls]
+    assert names.count("_pairs") == 1 and "_fraction_sums" not in names
+    assert finisher_rows() == [5]  # W's row and the four parts over one tree
     calls.clear()
-    sums.remainder_parts(300)  # the four parts share one merge tree
-    assert calls.count("_fraction_sums") == 1
+    sums.remainder_parts(300)
+    assert finisher_rows() == [4]
     calls.clear()
     sums.window_integral(300)
     sums.window_integral_series(300)
-    assert "_pairs" not in calls and "block_inverses" not in calls
+    names = [name for name, _ in calls]
+    assert "_pairs" not in names and "block_inverses" not in names
 
 
 def test_remainder_parts_memory_is_bounded():
@@ -351,16 +361,22 @@ def test_remainder_parts_memory_is_bounded():
     assert peak <= 13 * 8 * pairs
 
 
-def _check_fraction_sums(den, num, bucket=None, size=1):
-    """_fraction_sums against one Fraction per term, row by row or bucket by bucket."""
+def _check_dense_sums(den, num):
+    """_dense_sums against one Fraction per term; num / den enters as 2 num at column den."""
+    den = np.array(den, dtype=np.int64)
+    rows = np.atleast_2d(np.array(num, dtype=np.int64))
+    acc = np.zeros((rows.shape[0], int(den.max(initial=0)) + 1), dtype=np.int64)
+    for row, total in zip(rows, acc):
+        np.add.at(total, den, 2 * row)
+    assert sums._dense_sums(acc) == [oracles.fraction_sum_brute(den, row) for row in rows]
+
+
+def _check_fraction_sums(den, num, bucket, size):
+    """_fraction_sums against one Fraction per term, bucket by bucket."""
     den, num = np.array(den, dtype=np.int64), np.array(num, dtype=np.int64)
-    if bucket is None:
-        want = [oracles.fraction_sum_brute(den, row) for row in np.atleast_2d(num)]
-        assert sums._fraction_sums(den, num) == want
-    else:
-        bucket = np.array(bucket, dtype=np.int64)
-        want = [oracles.fraction_sum_brute(den[bucket == b], num[bucket == b]) for b in range(size)]
-        assert sums._fraction_sums(den, num, bucket, size) == want
+    bucket = np.array(bucket, dtype=np.int64)
+    want = [oracles.fraction_sum_brute(den[bucket == b], num[bucket == b]) for b in range(size)]
+    assert sums._fraction_sums(den, num, bucket, size) == want
 
 
 @pytest.mark.parametrize(
@@ -376,7 +392,7 @@ def _check_fraction_sums(den, num, bucket=None, size=1):
     ],
 )
 def test_fraction_sums_edges(den, num):
-    _check_fraction_sums(den, num)
+    _check_dense_sums(den, num)
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,8 +405,8 @@ def test_fraction_sums_match_oracle(k, terms, data):
     den = [d for d, _ in terms]
     row = st.lists(st.integers(-(10**6), 10**6), min_size=len(den), max_size=len(den))
     rows = [data.draw(row) for _ in range(k)]
-    _check_fraction_sums(den, rows)
-    _check_fraction_sums(den, rows[0])
+    _check_dense_sums(den, rows)
+    _check_dense_sums(den, rows[0])
     _check_fraction_sums(den, rows[0], [b for _, b in terms], 4)
 
 
@@ -420,10 +436,61 @@ C = sums.INT64_MAX // (2 * D)
 )
 def test_int64_levels_guard(den, num, levels):
     # an int64 array overflow wraps silently, so without the guard the rows
-    # one above it come out wrong
-    merged, _ = sums._int64_levels(np.array(den, dtype=np.int64), np.array(num, dtype=np.int64))
+    # one above it come out wrong; these denominators are far too large for
+    # the dense accumulator, so the finisher's two merge stages run directly
+    merged, rows = sums._int64_levels(np.array(den, dtype=np.int64), np.array(num, dtype=np.int64))
     assert len(merged) == -(-len(den) // 2**levels)
-    _check_fraction_sums(den, num)
+    want = [oracles.fraction_sum_brute(den, row) for row in num]
+    assert sums._pairwise_sums(merged, rows) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 30, 97, 1999, 2000, 10**4])
+def test_pair_rows_within_int64_bound(n):
+    # the bound stated in _dense_sums: |acc[i, s]| < s M (M + 1) / 2 <= n^2 / s
+    # for the T rows (M = n // s) and 0 <= acc[0, m] <= 4 m, so every entry is
+    # at most max(n^2, 4 n), which fits int64 up to PAIRS_MAX_N
+    acc = sums._pair_rows(n)
+    d = np.arange(1, n + 1, dtype=np.int64)
+    m = n // d
+    bound = d * m * (m + 1) // 2
+    assert (bound <= n * n // d).all()
+    assert not acc[:, 0].any()
+    assert (np.abs(acc[1:, 1:]) < bound).all()
+    assert ((0 <= acc[0, 1:]) & (acc[0, 1:] <= 4 * d)).all()
+    assert int(np.abs(acc).max()) <= max(n * n, 4 * n)
+    top = sums.PAIRS_MAX_N
+    assert max(top * top, 4 * top) <= sums.INT64_MAX
+
+
+@lru_cache(maxsize=None)
+def _series():
+    """window_integral_series(2000), computed once across the tests below."""
+    return sums.window_integral_series(2000)
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 97, 1999, 2000])
+def test_dense_sums_match_independent_routes(n):
+    # the five rows of sum_report's one finisher call: W against the
+    # incremental series and the per-order measures, the parts against
+    # per-pair Fraction sums
+    rep = sums.sum_report(n)
+    assert rep.integral == _series()[n] == sum(_tables(n)[0], Fraction(0))
+    r, s, u = sums._pairs(n)
+    want = [oracles.fraction_sum_brute(2 * s, row) for row in sums._part_numerators(n, r, s, u)]
+    assert [rep.t1, rep.t11, rep.t12, rep.t2] == want
+    p = oracles.fraction_sum_brute(r * s, np.minimum(r, s))
+    assert rep.integral == 1 + p - Fraction(int(np.minimum(r, s).sum()), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 400), st.data())
+def test_dense_sums_any_leaf_order(n, data):
+    # the leaf order only changes the merge tree, never the Fractions
+    acc = sums._pair_rows(n)
+    leaves = np.flatnonzero(acc.any(axis=0))
+    order = np.array(data.draw(st.permutations(leaves.tolist())), dtype=np.int64)
+    shuffled = sums._pairwise_sums(*sums._int64_levels(2 * order, acc[:, order]))
+    assert shuffled == sums._dense_sums(acc)
 
 
 def test_variant_gap_examples():
