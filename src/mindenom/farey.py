@@ -129,7 +129,9 @@ def coprime_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
 
     Yields (a, big) for a = 1..isqrt(n), where big is the ascending int64
     array of the L > a with gcd(a, L) = 1 and a*L <= n.  Each ordered pair
-    other than (1, 1) is (a, L) or (L, a) of exactly one block.  These are
+    other than (1, 1) is (a, L) or (L, a) of exactly one block, so the
+    blocks hold each unordered pair once; sums._pairs concatenates them and
+    its callers read a mirror (L, a) from the entry of (a, L).  These are
     the adjacent pairs that ever show a gap >= 1/n: (r, s) is adjacent at the
     min(r, s) orders max(r, s) <= k < r + s, all <= n when r*s <= n.
 
@@ -169,26 +171,15 @@ def coprime_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
         ).ravel()[: (q - 1) * (end - begin) + tail]
 
 
-def block_inverses(a: int, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) with x = inv(a, L) in 1..L and y = inv(L, a) in 1..a, for each L of a block.
-
-    y is looked up in the table unit_inverses(a); x then follows from the
-    identity a*x + L*y = 1 + a*L, so no inverse is computed per pair.  For a
-    block of coprime_blocks(n) every product here stays <= n (a*L <= n and
-    L*y <= L*a).  The n^2 bound belongs to the callers: their b1 numerators
-    n*x and n*y reach n*L, which sums._pairs guards.
-    """
-    y = unit_inverses(a)[big % a]
-    return (1 + a * big - big * y) // a, y
-
-
 @lru_cache(maxsize=256)
 def unit_inverses(q: int) -> np.ndarray:
     """inv_mod(u, q) in 1..q at the units u of 0..q-1, 0 at the other u; a read-only int64 array.
 
-    The cache keeps the tables of the last 256 moduli, so repeated calls
-    with the same small q (the blocks a <= isqrt(n) of every n, verify's
-    moduli) build each table once.
+    sums._pairs lays the tables of a = 1..isqrt(n) end to end and gathers
+    inv(L, a) for every pair (a, L) of coprime_blocks(n) from them in one
+    index.  The cache keeps the tables of the last 256 moduli, so repeated
+    calls with the same small q (the blocks a <= isqrt(n) of every n,
+    verify's moduli) build each table once.
     """
     table = np.array(
         [inv_mod(u, q) if math.gcd(u, q) == 1 else 0 for u in range(q)], dtype=np.int64

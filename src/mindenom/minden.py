@@ -64,8 +64,11 @@ Reflection: t -> 1 - t maps the window ](j-1)/n, j/n] onto
 and p/q onto (q - p)/q, of the same denominator.  The closed and the open
 grids map onto themselves, so q_j = q_{n+1-j} there, and the windows
 j <= n // 2 of half_grid_blocks carry their sums, with the middle window
-(n + 1) / 2 when n is odd.  The half-open grid ]a, b] maps onto [a, b[;
-sums.denominator_sum takes both half-open sums from the open one.
+(n + 1) / 2 when n is odd.  The half-open grid ]a, b] maps onto [a, b[.
+sums.denominator_sum solves the open half grid alone and takes the other
+three sums from it: each half-open one adds the right or the left endpoints,
+and the closed one both, and the divisor sums of sums._gaps say what each
+endpoint changes.
 """
 
 from __future__ import annotations
@@ -260,8 +263,8 @@ def half_grid_blocks(n: int, variant: Variant = "half-open-right") -> Iterator[n
     return _blocks(n, n // 2, variant)
 
 
-def _blocks(n: int, stop: int, variant: Variant) -> Iterator[np.ndarray]:
-    """The descent of the windows j = 1..stop of the n-grid, CHUNK windows per block."""
+def check_grid_size(n: int) -> None:
+    """ValueError for n < 1 and OverflowError for n > GRID_MAX_N, the grid solver's limits."""
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     if n > GRID_MAX_N:
@@ -269,6 +272,11 @@ def _blocks(n: int, stop: int, variant: Variant) -> Iterator[np.ndarray]:
             f"grid size {n} exceeds GRID_MAX_N = {GRID_MAX_N}, "
             "the int64 limit of the grid solver"
         )
+
+
+def _blocks(n: int, stop: int, variant: Variant) -> Iterator[np.ndarray]:
+    """The descent of the windows j = 1..stop of the n-grid, CHUNK windows per block."""
+    check_grid_size(n)
     lo_open, hi_open = (not closed for closed in VARIANT_FLAGS[variant])
     blocks = (
         np.arange(j, min(j + CHUNK, stop + 1), dtype=np.int64)

@@ -25,23 +25,41 @@ The quantities provided, all exact rationals unless stated otherwise:
 
 S(n) from half the windows.  The reflection t -> 1 - t maps window j of the
 grid onto window n + 1 - j with both boundary flags swapped, and keeps every
-denominator.  The closed and the open grids map onto themselves, so
-S_v(n) = 2 (q_1 + ... + q_{n//2}) + [n odd] q_{(n+1)/2} for those two.  The
+denominator.  The open grid maps onto itself, so
+S_open(n) = 2 (q_1 + ... + q_{n//2}) + 2 [n odd]: the middle window
+](n - 1)/(2n), (n + 1)/(2n)[ of odd n holds 1/2 and no integer.  The
 half-open grid ]a, b] maps onto [a, b[, so S_left = S, and
 S = S_open - G(n), where G(n) = variant_gap(n) is the sum of
 min(r, s) over the coprime pairs with r s <= n and s | n (verify checks
 this identity against the per-window grid).  G(n) has a closed form by
 Moebius inversion over the squarefree divisors of each divisor of n,
-O(tau(n) 2^omega(n)) integer operations after factorising n, so every
-variant sum solves n // 2 windows (plus one scalar middle window for odd n)
-and sum_report solves about n windows for all four.
+O(tau(n) 2^omega(n)) integer operations after factorising n.
+
+The closed sum by identity: S_closed(n) = S_open(n) - 2 G(n) + c(n), with
+c(n) the sum of min(r, s) over the ordered coprime pairs with r s = n, that
+is of min(u, n/u) over the 2^omega(n) unitary divisors u of n.  Proof: with
+d_i the reduced denominator of i/n, the closed window j is the open one plus
+its two endpoints, so its q is min(q_open, d_{j-1}, d_j).  Adding the right
+endpoint alone lowers S_open by G(n), and by the reflection so does adding
+the left one alone.  Both endpoints a/r = (j-1)/n and b/s = j/n lie below
+q_open only when no fraction of denominator <= max(r, s) lies strictly
+between them, that is when they are Farey neighbours, b r - a s = 1; as
+b r - a s = r s / n, these are the windows with r s = n.  Then q_open is the
+mediant's r + s, the two single corrections are s and r, and the window
+drops only by max(r, s): it was counted twice, over by min(r, s).  Each
+ordered coprime (r, s) with r s = n bounds exactly one window (a is
+-s^-1 mod r).  So every variant sum solves the n // 2 windows of the open
+half grid alone, and sum_report solves them once for all four.
 
 Every pair sum takes its pairs from the block kernel farey.coprime_blocks.
 window_integral reads the blocks alone, for W(n) = 1 + P - Q/n (P and Q sum
 1/max(r, s) and min(r, s), per product r s in _min_sums); the sawtooth sums
 per_k_tables, remainder_parts, t11_leftover_sum and t2_quotient_groups read
-_pairs, which adds inverses, and sum_report takes P with T1, T11, T12 and T2
-from one _pairs pass (_pair_rows).  The orders at which a pair sees a
+_pairs, the pairs r < s with the inverses of both orientations, and
+sum_report takes P with T1, T11, T12 and T2 from one _pairs pass
+(_pair_rows).  A pair (r, s) gives the T1, T11 and T12 terms over 2 s and
+its mirror (s, r) the T2 term over 2 r, so no row masks out half of an
+ordered-pair array.  The orders at which a pair sees a
 following gap below 1/n form one suffix of its adjacency range, found in
 closed form by _first_hit.  Exact sums over the denominators 2 d, d <= n
 (_dense_sums: W, the sawtooth parts, t11_leftover_sum) add each int64
@@ -57,7 +75,7 @@ bucket alone in Python ints.  S(n) adds up the int64 blocks of
 minden.half_grid_blocks and the direct window count those of
 minden.grid_blocks, never a list of all n denominators.
 PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
-larger n raise OverflowError up front.
+larger n raise OverflowError up front, before any window is solved.
 """
 
 from __future__ import annotations
@@ -69,14 +87,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .farey import block_inverses, coprime_blocks
-from .minden import (
-    VARIANT_FLAGS,
-    Variant,
-    grid_blocks,
-    half_grid_blocks,
-    min_denominator_grid,
-)
+from .farey import coprime_blocks, unit_inverses
+from .minden import VARIANT_FLAGS, Variant, check_grid_size, grid_blocks, half_grid_blocks
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
 
@@ -101,22 +113,26 @@ class RemainderParts(NamedTuple):
 def denominator_sum(n: int, variant: Variant = "half-open-right") -> int:
     """S(n): sum of the minimal denominators of the n grid windows, from half the windows.
 
-    The closed and the open grids are symmetric under t -> 1 - t, so
-    S_v(n) = 2 (q_1 + ... + q_{n//2}) + [n odd] q_{(n+1)/2}, adding the int64
-    blocks of minden.half_grid_blocks.  Both half-open sums are
-    S_open(n) - variant_gap(n).  Raises ValueError for n < 1 and
+    Every variant starts from S_open(n), which adds the int64 blocks of the
+    open minden.half_grid_blocks.  Both half-open sums are S_open(n) - G(n)
+    and the closed sum is S_open(n) - 2 G(n) + c(n), with (G, c) from _gaps
+    (see the module docstring).  Raises ValueError for n < 1 and
     OverflowError for n > minden.GRID_MAX_N before any window is solved.
     """
     lo_closed, hi_closed = VARIANT_FLAGS[variant]
-    if lo_closed != hi_closed:
-        return _symmetric_sum(n, "open") - variant_gap(n)
-    return _symmetric_sum(n, variant)
+    s_open = _open_sum(n)
+    if not (lo_closed or hi_closed):
+        return s_open
+    gap, corner = _gaps(n)
+    if lo_closed and hi_closed:
+        return s_open - 2 * gap + corner
+    return s_open - gap
 
 
-def _symmetric_sum(n: int, variant: Variant) -> int:
-    """S_v(n) of the closed or open grid: twice the windows j <= n // 2, plus odd n's middle."""
-    half = sum(int(block.sum()) for block in half_grid_blocks(n, variant))
-    return 2 * half + (min_denominator_grid(n, (n + 1) // 2, variant) if n % 2 else 0)
+def _open_sum(n: int) -> int:
+    """S_open(n): twice the open windows j <= n // 2, plus 2 for odd n's middle window (1/2)."""
+    half = sum(int(block.sum()) for block in half_grid_blocks(n, "open"))
+    return 2 * half + 2 * (n % 2)
 
 
 def count_above(n: int, k: int) -> int:
@@ -136,20 +152,34 @@ def _check_size(n: int, limit: int, what: str) -> None:
         )
 
 
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered coprime pair with r s <= n as int64 arrays (r, s, u), (1, 1) first.
+def _check_report_size(n: int) -> None:
+    """The limits of an exact report of n, before any window is solved: the grid's, then the pairs'."""
+    check_grid_size(n)
+    _check_size(n, PAIRS_MAX_N, "the pair sums")
 
-    u = inv(r, s) in 1..s, the numerator of the right fraction u/s of the pair.
-    Raises ValueError for n < 1 and OverflowError for n > PAIRS_MAX_N.
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coprime pairs r < s with r s <= n as int64 arrays (r, s, x, y), in block order.
+
+    x = inv(r, s) in 1..s and y = inv(s, r) in 1..r are the numerators of
+    the right fractions x/s of the pair and y/r of its mirror (s, r); every
+    ordered coprime pair with r s <= n is one of these, a mirror, or (1, 1).
+    The blocks of coprime_blocks are concatenated, y is one gather from the
+    cached tables unit_inverses(a), a = 1..isqrt(n), laid end to end (table
+    a starts at a (a - 1) / 2), and x follows from r x + s y = 1 + r s, with
+    every product <= n.  The n^2 bound belongs to the callers: their b1
+    numerators n x and n y reach n s.  Raises ValueError for n < 1 and
+    OverflowError for n > PAIRS_MAX_N.
     """
     _check_size(n, PAIRS_MAX_N, "the pair sums")
-    r, s, u = ([np.ones(1, dtype=np.int64)] for _ in range(3))
-    for a, big in coprime_blocks(n):
-        small = np.full(big.size, a, dtype=np.int64)
-        r += [small, big]
-        s += [big, small]
-        u += block_inverses(a, big)
-    return tuple(np.concatenate(c) for c in (r, s, u))
+    blocks = [big for _, big in coprime_blocks(n)]
+    root = len(blocks)
+    r = np.repeat(np.arange(1, root + 1, dtype=np.int64), [big.size for big in blocks])
+    s = np.concatenate(blocks)
+    del blocks
+    tables = np.concatenate([unit_inverses(a) for a in range(1, root + 1)])
+    y = tables[r * (r - 1) // 2 + s % r]
+    return r, s, (1 + r * s - s * y) // r, y
 
 
 def _first_hit(n: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -305,8 +335,11 @@ def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]
     n > PER_K_MAX_N.
     """
     _check_size(n, PER_K_MAX_N, "per_k_tables")
-    r, s, u = _pairs(n)
-    v = (1 + r * s - r * u) // s  # inv(s, r), from r u + s v = 1 + r s
+    # every ordered pair: (1, 1), the pairs r < s and their mirrors, with
+    # u = inv(r, s) and v = inv(s, r)
+    one = np.ones(1, dtype=np.int64)
+    r, s, x, y = _pairs(n)
+    r, s, u, v = (np.concatenate([one, a, b]) for a, b in ((r, s), (s, r), (x, y), (y, x)))
     first, stop = np.maximum(r, s), r + s
     # (table, first order, denominator, numerator): the gap 1/(r s) - 1/n,
     # the jump frac(-n u/s) - frac(n v/r) and the sawtooth b1(n u/s)
@@ -404,8 +437,7 @@ def window_integral_floats(ns: Sequence[int]) -> list[float]:
 
 def remainder(n: int) -> Fraction:
     """R(n) = S(n) - n * window_integral(n), the exact discrepancy term."""
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
+    _check_report_size(n)
     return denominator_sum(n) - n * window_integral(n)
 
 
@@ -429,42 +461,48 @@ def _parts(t1: Fraction, t11: Fraction, t12: Fraction, t2: Fraction) -> Remainde
 def _pair_rows(n: int) -> np.ndarray:
     """The (5, n + 1) int64 numerators over 2 d of P (for W) and T1, T11, T12, T2, summed per d.
 
-    One _pairs(n) pass.  Row 0 adds 2 min(r, s) at d = r s, so it is 2 c_m
-    at m with c = _min_sums(n); rows 1-4 add the _part_numerators of each
-    pair at d = s.  The pair arrays are dropped on return, before the merge.
+    One _pairs(n) pass over the pairs r < s.  Row 0 adds 4 r at d = r s for
+    a pair and its mirror, and 2 at d = 1 for (1, 1), so it is 2 c_m at m
+    with c = _min_sums(n); rows 1-3 add the _part_numerators of each pair at
+    d = s and row 4 those of its mirror at d = r.  The pair arrays are
+    dropped on return, before the merge.
     """
-    r, s, u = _pairs(n)
-    rows = _part_numerators(n, r, s, u)  # the peak, before acc exists
+    r, s, x, y = _pairs(n)
+    rows = _part_numerators(n, r, s, x, y)  # the peak, before acc exists
     acc = np.zeros((5, n + 1), dtype=np.int64)
-    np.add.at(acc[0], r * s, 2 * np.minimum(r, s))
-    for row, total in zip(rows, acc[1:]):
+    acc[0, 1] = 2
+    np.add.at(acc[0], r * s, 4 * r)
+    for row, total in zip(rows[:3], acc[1:4]):
         np.add.at(total, s, row)
+    np.add.at(acc[4], r, rows[3])
     return acc
 
 
-def _part_numerators(n: int, r: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The (4, m) numerators over 2 s of T1, T11, T12, T2 for each pair of _pairs(n).
+def _part_numerators(
+    n: int, r: np.ndarray, s: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """The (4, m) numerators of T1, T11, T12 over 2 s and of T2 over 2 r, per pair of _pairs(n).
 
-    Each is the pair's weight times its b1 numerator; the weight rows are
-    built in place in one array, with no masked copy per part.
+    T1, T11 and T12 take the pair (r, s), T2 its mirror (s, r).  Each is a
+    weight times the b1 numerator of the right fraction, x/s or y/r; the
+    weight rows are built in place in one array.  (1, 1) is in no part: its
+    sawtooth value is 0.
     """
     rows = np.empty((4, r.size), dtype=np.int64)
     w1, w11, w12, w2 = rows
-    # T1 (r < s) and T2 (r > s) weigh each pair by its hitting orders; (1, 1)
-    # is in neither, its sawtooth value is 0
-    np.subtract(r, _first_hit(n, r, s), out=w1)
-    w1 += s
-    np.maximum(w1, 0, out=w1)
-    np.multiply(w1, r > s, out=w2)
-    w1 *= r < s
-    # T11 and T12 split the orders k in [s, r + s) of r < s by j = 1 and j = 2;
-    # s t > n for the next denominator t is t > n // s, which no pair r >= s meets
+    # T1 and T2 weigh a pair by its hitting orders
+    for w, hit in ((w1, _first_hit(n, r, s)), (w2, _first_hit(n, s, r))):
+        np.subtract(r + s, hit, out=w)
+        np.maximum(w, 0, out=w)
+    # T11 and T12 split the orders k in [s, r + s) by j = 1 and j = 2; s t > n
+    # for the next denominator t is t > n // s
     cap = n // s
     np.minimum(r, s - r, out=w11)
     w11 *= s - r > cap
     np.clip(2 * r - s, 0, s, out=w12)
     w12 *= 2 * s - r > cap
-    rows *= _b1_numerators(n, s, u)
+    rows[:3] *= _b1_numerators(n, s, x)
+    w2 *= _b1_numerators(n, r, y)
     return rows
 
 
@@ -474,13 +512,13 @@ def t11_leftover_sum(n: int) -> Fraction:
     For r < s with s (s - r) > n and r s <= n the order range [s, 2s - r)
     already covers every k in [s, r + s), because r s <= n < s (s - r)
     forces r < s - r.  The complementary range is therefore empty; this
-    function evaluates it literally anyway, over the kernel's pairs.
+    function evaluates it literally anyway, over the kernel's pairs r < s.
     """
-    r, s, u = _pairs(n)
+    r, s, x, _ = _pairs(n)
     leftover = np.maximum(0, (r + s) - np.maximum(s, 2 * s - r))
-    weight = np.where((r < s) & (2 * r > s) & (s - r > n // s), leftover, 0)
+    weight = np.where((2 * r > s) & (s - r > n // s), leftover, 0)
     acc = np.zeros((1, n + 1), dtype=np.int64)
-    np.add.at(acc[0], s, weight * _b1_numerators(n, s, u))
+    np.add.at(acc[0], s, weight * _b1_numerators(n, s, x))
     return _dense_sums(acc)[0]
 
 
@@ -494,9 +532,7 @@ def t2_quotient_groups(n: int) -> dict[int, Fraction]:
     With r > s, 2s < 2 sqrt(n) and j <= 2n, so the int64 bucket keys stay
     below (2n + 1)(2 sqrt(n) + 1) < 2^50 for n <= PAIRS_MAX_N.
     """
-    r, s, u = _pairs(n)
-    above = r > s
-    r, s, u = r[above], s[above], u[above]
+    s, r, _, u = _pairs(n)  # the mirrors (r, s), r > s, with u = inv(r, s)
     j = (2 * r + s - 1) // s
     weight = np.where(s * (j * s - r) > n, 2 * r - (j - 1) * s, 0)
     totals = _fraction_sums(2 * s, weight * _b1_numerators(n, s, u), j, int(j.max(initial=2)) + 1)
@@ -508,22 +544,33 @@ def variant_gap(n: int) -> int:
 
     Equals G(n), the sum of min(r, s) over coprime pairs with r s <= n and s
     dividing n, and is at most n * tau(n).
+    """
+    return _gaps(n)[0]
+
+
+def _gaps(n: int) -> tuple[int, int]:
+    """(G(n), c(n)) from one factorisation of n: variant_gap(n) and the closed sum's correction.
 
     G(n) in closed form: for each divisor s of n, with M = n / s and
     X = min(M, s), Moebius over the squarefree d | s gives
     sum_{r <= M, (r, s) = 1} min(r, s) = sum_{d | s} mu(d) (d A(A + 1)/2 + s (B - A)),
     A = floor(X / d), B = floor(M / d); exact integers, O(tau(n) 2^omega(n))
-    operations after the trial-division factorisation of n.
+    operations after the trial-division factorisation of n.  c(n), the sum
+    of min(r, s) over the ordered coprime pairs with r s = n, is the sum of
+    min(u, n / u) over the 2^omega(n) unitary divisors u of n, which take
+    each prime power p^e of n whole or not at all.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     divisors = [(1, ())]  # (s, the primes of s) for every divisor s of n
+    unitary = [1]
     for p, e in _factorize(n):
         divisors = [
             (s * p**k, primes + (p,) if k else primes)
             for s, primes in divisors
             for k in range(e + 1)
         ]
+        unitary += [u * p**e for u in unitary]
     total = 0
     for s, primes in divisors:
         m = n // s
@@ -534,7 +581,7 @@ def variant_gap(n: int) -> int:
         for d, mu in moebius:
             a, b = x // d, m // d
             total += mu * (d * (a * (a + 1) // 2) + s * (b - a))
-    return total
+    return total, sum(min(u, n // u) for u in unitary)
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -583,15 +630,17 @@ def sum_report(n: int) -> SumReport:
 
     The half-open-left sum is S itself: the reflection t -> 1 - t maps the
     windows of one variant onto those of the other (verify.check_variants
-    still computes it from the per-window grid).  S = S_open - variant_gap(n)
-    as in denominator_sum, so the open and closed half grids are the only
-    windows solved, about n in all.  W and the four sawtooth parts come from
-    one _pairs pass (_pair_rows) and one _dense_sums call over its five rows.
+    still computes it from the per-window grid).  One descent of the open
+    half grid gives S_open, and one factorisation of n gives G and c, so
+    S = S_open - G and S_closed = S - G + c as in denominator_sum.  W and the
+    four sawtooth parts come from one _pairs pass (_pair_rows) and one
+    _dense_sums call over its five rows.  Both int64 limits are checked
+    before the descent.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    s_open = denominator_sum(n, "open")
-    s = s_open - variant_gap(n)
+    _check_report_size(n)
+    s_open = _open_sum(n)
+    gap, corner = _gaps(n)
+    s = s_open - gap
     acc = _pair_rows(n)
     p, *rows = _dense_sums(acc)
     integral = _integral(n, p, int(acc[0].sum()) // 2)
@@ -604,7 +653,7 @@ def sum_report(n: int) -> SumReport:
     return SumReport(
         n=n,
         s=s,
-        s_closed=denominator_sum(n, "closed"),
+        s_closed=s - gap + corner,
         s_half_open_left=s,
         s_open=s_open,
         integral=integral,

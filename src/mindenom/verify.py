@@ -305,8 +305,8 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
 def check_variants(max_n: int = 500) -> SuiteResult:
     """The four variant sums of the per-window grid, and denominator_sum against them.
 
-    denominator_sum reflects half of the grid and takes the half-open sums
-    from the open one and variant_gap, so the reference sums come from
+    denominator_sum reflects half of the open grid and takes the other three
+    sums from it and the divisor sums G and c, so the reference sums come from
     minden.grid_blocks, which solves every window; every other check reads
     those alone.
     """

@@ -229,6 +229,19 @@ def test_grid_size_over_int64_limit_exits_2(capsys, command):
     assert err.startswith("error:") and "GRID_MAX_N" in err and out == ""
 
 
+def test_compute_over_pair_limit_exits_2(capsys, monkeypatch):
+    # the pair limit is checked before the grid descent, which would run for
+    # hours at this n and fails the test if it is reached
+    def unreachable(*args):
+        raise AssertionError("the grid descent ran before the pair limit was checked")
+
+    monkeypatch.setattr(minden, "_descend_block", unreachable)
+    n = str(sums.PAIRS_MAX_N + 1)
+    code, out, err = run_cli(capsys, "compute", "--n", n, "--budget", n)
+    assert code == 2
+    assert err.startswith("error:") and "pair sums" in err and out == ""
+
+
 @pytest.mark.parametrize("max_n", ["0", "-5"])
 def test_verify_rejects_max_n_below_one(capsys, max_n):
     code, out, err = run_cli(capsys, "verify", "--suite", "variants", "--max-n", max_n)

@@ -176,13 +176,3 @@ def test_coprime_blocks_match_gcd_filter(ns):
         for (a, big), (_, ref) in zip(got, want):
             assert big.dtype == ref.dtype == np.int64
             assert np.array_equal(big, ref), (n, a)
-
-
-def test_block_inverses():
-    for n in (1, 2, 30, 97, 200, 1000):
-        for a, big in farey.coprime_blocks(n):
-            x, y = farey.block_inverses(a, big)
-            assert ((1 <= x) & (x <= big)).all() and ((1 <= y) & (y <= a)).all()
-            assert (a * x % big == 1).all()
-            assert (big * y % a == 1 % a).all()
-            assert [int(v) for v in x] == [farey.inv_mod(a, int(b)) for b in big]

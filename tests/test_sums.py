@@ -32,7 +32,7 @@ def test_reflected_sums_match_grid():
     # every n <= 2000 (odd n add a middle window), primes, powers of 2, highly
     # composite n, and half ranges that end on either side of a block join
     chunk = minden.CHUNK
-    ns = [*range(1, 2001), 7919, 65521, *(2**k for k in range(11, 21)), 5040, 720720]
+    ns = [*range(1, 2001), 7919, 65521, *(2**k for k in range(11, 21)), 5040, 720720, 510510, 3**9]
     ns += [2 * chunk + d for d in (-1, 0, 1, 2, 3)]
     for n in ns:
         for variant in minden.VARIANT_FLAGS:
@@ -102,6 +102,14 @@ def test_int64_size_limits(monkeypatch):
         sums.per_k_tables(sums.PER_K_MAX_N)
     with pytest.raises(OverflowError):
         sums.per_k_tables(sums.PER_K_MAX_N + 1)
+    # the exact report and R check the pair limit before the grid descent,
+    # which would run for hours at this n
+    monkeypatch.setattr(minden, "_descend_block", reached)
+    for over in (sums.sum_report, sums.remainder):
+        with pytest.raises(Reached):
+            over(sums.PAIRS_MAX_N)
+        with pytest.raises(OverflowError):
+            over(sums.PAIRS_MAX_N + 1)
 
 
 def test_count_above_examples():
@@ -319,12 +327,32 @@ def test_t2_quotient_groups():
         assert sum(groups.values(), Fraction(0)) == sums.remainder_parts(n).t2
 
 
+def test_pair_inverses():
+    # the pairs r < s, each unordered coprime pair with r s <= n once, with
+    # the numerators x = inv(r, s) of the pair and y = inv(s, r) of its mirror
+    for n in (1, 2, 30, 97, 200, 1000):
+        r, s, x, y = sums._pairs(n)
+        assert all(a.dtype == np.int64 for a in (r, s, x, y))
+        half = list(zip(r.tolist(), s.tolist()))
+        assert len(set(half)) == len(half) and all(a < b for a, b in half)
+        assert {(1, 1), *half, *((b, a) for a, b in half)} == oracles.coprime_pairs_brute(n)
+        assert ((1 <= x) & (x <= s)).all() and ((1 <= y) & (y <= r)).all()
+        assert (r * x % s == 1).all() and (s * y % r == 1 % r).all()
+        assert x.tolist() == [farey.inv_mod(a, b) for a, b in half]
+        assert y.tolist() == [farey.inv_mod(b, a) for a, b in half]
+
+
 def test_exact_report_builds_pairs_once(monkeypatch):
     calls = []
-    for name in ("_pairs", "block_inverses", "_fraction_sums", "_dense_sums"):
-        real = getattr(sums, name)
+    for module, name in (
+        (sums, "_pairs"),
+        (sums, "_fraction_sums"),
+        (sums, "_dense_sums"),
+        (minden, "_descend_block"),
+    ):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            sums, name, lambda *a, f=real: calls.append((f.__name__, a)) or f(*a)
+            module, name, lambda *a, f=real: calls.append((f.__name__, a)) or f(*a)
         )
 
     def finisher_rows():
@@ -334,6 +362,8 @@ def test_exact_report_builds_pairs_once(monkeypatch):
     sums.sum_report(300)
     names = [name for name, _ in calls]
     assert names.count("_pairs") == 1 and "_fraction_sums" not in names
+    # one block of the open half grid: the closed sum comes by identity
+    assert names.count("_descend_block") == 1
     assert finisher_rows() == [5]  # W's row and the four parts over one tree
     calls.clear()
     sums.remainder_parts(300)
@@ -341,16 +371,16 @@ def test_exact_report_builds_pairs_once(monkeypatch):
     calls.clear()
     sums.window_integral(300)
     sums.window_integral_series(300)
-    names = [name for name, _ in calls]
-    assert "_pairs" not in names and "block_inverses" not in names
+    assert "_pairs" not in [name for name, _ in calls]
 
 
 def test_remainder_parts_memory_is_bounded():
-    # the four weight rows are built in place in one (4, m) array, with no
-    # masked copy per part; 13 pair-length int64 arrays leave room over the
-    # 11.1 measured at this n
+    # _pairs holds each unordered pair once and the four weight rows are
+    # built in place in one array; the unit is still an int64 array over the
+    # ordered pairs, the mirrors and (1, 1) included, and 8 of them leave room
+    # over the 6.6 measured at this n
     n = 10**5
-    pairs = sums._pairs(n)[0].size
+    pairs = 2 * sums._pairs(n)[0].size + 1
     sums.remainder_parts(7)  # first-call set-up outside the trace
     tracemalloc.start()
     try:
@@ -358,7 +388,7 @@ def test_remainder_parts_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * 8 * pairs
+    assert peak <= 8 * 8 * pairs
 
 
 def _check_dense_sums(den, num):
@@ -475,11 +505,14 @@ def test_dense_sums_match_independent_routes(n):
     # per-pair Fraction sums
     rep = sums.sum_report(n)
     assert rep.integral == _series()[n] == sum(_tables(n)[0], Fraction(0))
-    r, s, u = sums._pairs(n)
-    want = [oracles.fraction_sum_brute(2 * s, row) for row in sums._part_numerators(n, r, s, u)]
+    r, s, x, y = sums._pairs(n)
+    rows = sums._part_numerators(n, r, s, x, y)
+    want = [oracles.fraction_sum_brute(2 * d, row) for d, row in zip((s, s, s, r), rows)]
     assert [rep.t1, rep.t11, rep.t12, rep.t2] == want
-    p = oracles.fraction_sum_brute(r * s, np.minimum(r, s))
-    assert rep.integral == 1 + p - Fraction(int(np.minimum(r, s).sum()), n)
+    # P and Q over the ordered pairs: (1, 1), then each pair r < s and its mirror
+    prod, low = (np.concatenate([[1], a, a]) for a in (r * s, r))
+    p = oracles.fraction_sum_brute(prod, low)
+    assert rep.integral == 1 + p - Fraction(int(low.sum()), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,10 +535,10 @@ def test_variant_gap_routes_and_bound():
     for n in range(1, 301):
         upper = sums.variant_gap(n)
         assert upper == _grid_sum(n, "open") - _grid_sum(n, "half-open-right")
-        direct = sum(
-            min(r, s) for r, s in oracles.coprime_pairs_brute(n) if n % s == 0
-        )
-        assert upper == direct
+        pairs = oracles.coprime_pairs_brute(n)
+        assert upper == sum(min(r, s) for r, s in pairs if n % s == 0)
+        # the closed sum's correction: the pairs with r s = n
+        assert sums._gaps(n) == (upper, sum(min(r, s) for r, s in pairs if r * s == n))
         tau = expsums.divisor_count(n)
         assert 0 <= upper <= n * tau
         lower = sums.denominator_sum(n) - sums.denominator_sum(n, "closed")
