@@ -44,13 +44,11 @@ from .minden import (
     Interval,
     min_denominator,
     min_denominator_grid,
-    min_denominator_window,
     min_fraction,
 )
 from .sums import (
     RemainderParts,
     SumReport,
-    count_above,
     denominator_sum,
     remainder,
     remainder_parts,
@@ -71,7 +69,6 @@ __all__ = [
     "b1",
     "b1_hat_closed",
     "beta",
-    "count_above",
     "denominator_sum",
     "dft",
     "divisor_count",
@@ -83,7 +80,6 @@ __all__ = [
     "kloosterman_table",
     "min_denominator",
     "min_denominator_grid",
-    "min_denominator_window",
     "min_fraction",
     "next_denominator",
     "ramanujan",

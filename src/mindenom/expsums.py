@@ -16,11 +16,10 @@ Each column is stored twice over, so the index of row a0 + r is
 (r u mod q) + (a0 u mod q) with no reduction, and the block shift a0 u mod q
 advances by one addition and one conditional subtraction per column: nothing
 of size q^2 is divided, and the only q^2 array is the table.  The inverses
-come from n^(phi(q) - 1) mod q by square-and-multiply in int64, which needs
-q^2 < 2^63, far above any table that fits in memory.  The scalar sums
-(`kloosterman`, `b1_hat_closed`, `geometric_sum_bound_check`) take each root
-of unity from its exact integer residue, and `_unit_inverses` and
-`b1_residue` stay on `pow` and `Fraction`: they are the independent
+come from farey.unit_inverses, the package's one vectorised inverse table.
+The scalar sums (`kloosterman`, `b1_hat_closed`, `geometric_sum_bound_check`)
+take each root of unity from its exact integer residue, and `_unit_inverses`
+and `b1_residue` stay on `pow` and `Fraction`: they are the independent
 references.
 
 The sawtooth b1(x) is 0 at integers and frac(x) - 1/2 elsewhere; its transform
@@ -44,7 +43,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .farey import inv_mod
+from .farey import inv_mod, unit_inverses
 
 Rational = Union[int, Fraction]
 
@@ -65,29 +64,12 @@ def _roots(q: int) -> tuple[complex, ...]:
 
 @lru_cache(maxsize=64)
 def _unit_inverses(q: int) -> tuple[tuple[int, int], ...]:
-    """(n, inv(n) mod q) for the units n in 1..q, n increasing; cached as _roots is."""
-    return tuple((n, pow(n, -1, q)) for n in range(1, q + 1) if math.gcd(n, q) == 1)
+    """(n, inv(n) mod q) for the units n in 1..q, n increasing; cached as _roots is.
 
-
-def _units_and_inverses(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units n in 0..q-1 and inv(n) mod q, as int64 arrays, n increasing.
-
-    inv(n) = n^(phi(q) - 1) mod q by Euler's theorem, by square-and-multiply
-    over all units at once; every product is of two residues below q, so it
-    fits int64 while q^2 < 2^63.
+    By `pow` alone: the scalar reference that kloosterman_table is checked
+    against, so it shares no code with farey.unit_inverses.
     """
-    if q * q >= 2**63:
-        raise OverflowError(f"modulus {q} too large for int64 inverses (q^2 >= 2^63)")
-    res = np.arange(q, dtype=np.int64)
-    units = res[np.gcd(res, q) == 1]
-    base, inv = units.copy(), np.ones_like(units) % q  # q = 1: the one unit 0 is its own inverse
-    e = len(units) - 1
-    while e:
-        if e & 1:
-            inv = inv * base % q
-        base = base * base % q
-        e >>= 1
-    return units, inv
+    return tuple((n, pow(n, -1, q)) for n in range(1, q + 1) if math.gcd(n, q) == 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +169,10 @@ def kloosterman_table(q: int) -> np.ndarray:
     """Matrix of K(a, b; q) for a, b = 0..q-1, from tau(q) column transforms.
 
     Column d, for each divisor d of q, is one unnormalised inverse FFT over n
-    of e(d inv(n) / q) on the units n.  Every b is d u with d = gcd(b, q) and
-    u the least unit that fits, and n -> u n gives K(a, d u; q) = K(a u, d; q),
-    so the table is a gather from the tau(q) columns.  It is gathered
+    of e(d inv(n) / q) on the units n, read off farey.unit_inverses(q).
+    Every b is d u with d = gcd(b, q) and u the least unit that fits, and
+    n -> u n gives K(a, d u; q) = K(a u, d; q), so the table is a gather
+    from the tau(q) columns.  It is gathered
     _TABLE_ROWS rows at a time from each column stored twice over, so the
     index (r u mod q) + (a0 u mod q) of row a0 + r needs no reduction: the
     first term is fixed, and the block shift a0 u mod q advances by one
@@ -199,7 +182,9 @@ def kloosterman_table(q: int) -> np.ndarray:
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    units, invs = _units_and_inverses(q)
+    inverses = unit_inverses(q)
+    units = np.flatnonzero(inverses)
+    invs = inverses[units]
     divs = np.array(list(_divisors(q)))
     terms = np.zeros((q, len(divs)), dtype=complex)
     terms[units] = np.exp(2j * np.pi * (np.outer(invs, divs) % q) / q)

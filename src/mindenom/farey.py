@@ -175,14 +175,32 @@ def coprime_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
 def unit_inverses(q: int) -> np.ndarray:
     """inv_mod(u, q) in 1..q at the units u of 0..q-1, 0 at the other u; a read-only int64 array.
 
-    sums._pairs lays the tables of a = 1..isqrt(n) end to end and gathers
-    inv(L, a) for every pair (a, L) of coprime_blocks(n) from them in one
-    index.  The cache keeps the tables of the last 256 moduli, so repeated
-    calls with the same small q (the blocks a <= isqrt(n) of every n,
-    verify's moduli) build each table once.
+    The package's one vectorised inverse table.  inv(u) = u^(phi(q) - 1)
+    mod q by Euler's theorem, by square-and-multiply over all units at once;
+    every product is of two residues below q, so it fits int64 while
+    q^2 < 2^63, and larger q raise OverflowError before anything is built.
+    q = 1 gives [1].  sums._pairs lays the tables of a = 1..isqrt(n) end to
+    end and gathers inv(L, a) for every pair (a, L) of coprime_blocks(n)
+    from them in one index; verify reads inv(r, s) from the table of s, and
+    expsums.kloosterman_table its units and their inverses.  The cache keeps
+    the tables of the last 256 moduli, so repeated calls with the same small
+    q (the blocks a <= isqrt(n) of every n, verify's moduli) build each
+    table once.
     """
-    table = np.array(
-        [inv_mod(u, q) if math.gcd(u, q) == 1 else 0 for u in range(q)], dtype=np.int64
-    )
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got {q}")
+    if q * q >= 2**63:
+        raise OverflowError(f"modulus {q} too large for int64 inverses (q^2 >= 2^63)")
+    res = np.arange(q, dtype=np.int64)
+    units = res[np.gcd(res, q) == 1]
+    base, inv = units, np.ones_like(units)  # phi(1) - 1 = 0: inv(0, 1) stays 1
+    e = len(units) - 1
+    while e:
+        if e & 1:
+            inv = inv * base % q
+        base = base * base % q
+        e >>= 1
+    table = np.zeros(q, dtype=np.int64)
+    table[units] = inv
     table.flags.writeable = False
     return table

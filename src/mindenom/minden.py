@@ -2,8 +2,7 @@
 
 For a nonempty interval E of real numbers, min_denominator returns the least
 q >= 1 such that E contains a fraction p/q.  Its algo argument picks one of
-two algorithms; min_denominator_window and min_denominator_grid always take
-the descent:
+two algorithms; min_denominator_grid always takes the descent:
 
 * "fast": a Stern-Brocot descent on the interval endpoints.  At each level the
   smallest admissible integer is tried; if none fits, the integer part is
@@ -220,14 +219,6 @@ def _simplest(interval: Interval) -> tuple[int, int]:
         lo.numerator, lo.denominator, not interval.lo_closed,
         hi.numerator, hi.denominator, not interval.hi_closed,
     )
-
-
-def min_denominator_window(t: Rational, delta: Rational) -> int:
-    """Minimal denominator of the window ]t - delta, t] of width delta > 0, by the descent."""
-    t, delta = Fraction(t), Fraction(delta)
-    if delta <= 0:
-        raise ValueError(f"window width must be positive, got {delta}")
-    return min_denominator(Interval(t - delta, t, False, True))
 
 
 def min_denominator_grid(n: int, j: int, variant: Variant = "half-open-right") -> int:

@@ -9,10 +9,9 @@ over coprime pairs with r s <= n, which integer arithmetic evaluates exactly.
 
 The quantities provided, all exact rationals unless stated otherwise:
 
-* count_above(n, k): number of windows with q_j > k, by direct count.
 * per_k_tables(n): for every order k = 0..n the measure nu_k of the windows
   that clear order k, the fractional jump xi_k and the sawtooth term sigma_k;
-  count_above(n, k) = n nu_k + xi_k and xi_k = -2 sigma_k.
+  n nu_k + xi_k is the number of windows with q_j > k, and xi_k = -2 sigma_k.
 * window_integral(n): integral over ]0, 1] of the window minimal denominator,
   equal to the sum of nu_k over k = 0..n.  It grows like (16/pi^2) sqrt(n).
 * remainder(n): R = S(n) - n * window_integral(n), the discrepancy between
@@ -62,7 +61,7 @@ its mirror (s, r) the T2 term over 2 r, so no row masks out half of an
 ordered-pair array.  The orders at which a pair sees a
 following gap below 1/n form one suffix of its adjacency range, found in
 closed form by _first_hit.  Exact sums over the denominators 2 d, d <= n
-(_dense_sums: W, the sawtooth parts, t11_leftover_sum) add each int64
+(_dense_sums: W and the sawtooth parts) add each int64
 numerator row into a dense (rows, n + 1) accumulator indexed by d, with no
 sort, and merge all rows over one pairwise tree.  Its leaves are ordered by
 the rough part of d (1, or the one prime factor of d above sqrt(n)), so
@@ -72,8 +71,7 @@ the largest denominator, cmax the largest |numerator|), and Python ints
 finish it.  The bucketed sums of per_k_tables and t2_quotient_groups
 (_fraction_sums) add the numerators per (bucket, denominator) and merge each
 bucket alone in Python ints.  S(n) adds up the int64 blocks of
-minden.half_grid_blocks and the direct window count those of
-minden.grid_blocks, never a list of all n denominators.
+minden.half_grid_blocks, never a list of all n denominators.
 PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
 larger n raise OverflowError up front, before any window is solved.
 """
@@ -88,7 +86,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .farey import coprime_blocks, unit_inverses
-from .minden import VARIANT_FLAGS, Variant, check_grid_size, grid_blocks, half_grid_blocks
+from .minden import VARIANT_FLAGS, Variant, check_grid_size, half_grid_blocks
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
 
@@ -133,13 +131,6 @@ def _open_sum(n: int) -> int:
     """S_open(n): twice the open windows j <= n // 2, plus 2 for odd n's middle window (1/2)."""
     half = sum(int(block.sum()) for block in half_grid_blocks(n, "open"))
     return 2 * half + 2 * (n % 2)
-
-
-def count_above(n: int, k: int) -> int:
-    """Number of windows j with q_j > k, counted over the grid blocks."""
-    if k < 0:
-        raise ValueError(f"threshold must be >= 0, got {k}")
-    return sum(int(np.count_nonzero(block > k)) for block in grid_blocks(n))
 
 
 def _check_size(n: int, limit: int, what: str) -> None:
@@ -258,9 +249,9 @@ def _dense_sums(acc: np.ndarray) -> list[Fraction]:
     _pairwise_sums finishes in Python ints.
 
     int64 bound of the accumulation, for the rows of _pair_rows(n) with
-    D = n (t11_leftover_sum's row and window_integral's 2 c are alike).  A T
-    row adds, at d = s, w (2 e - s) for the pairs (r, s) with r s <= n,
-    where |2 e - s| < s and the weight w <= min(r, s); so
+    D = n (window_integral's 2 c is alike).  A T row adds, at d = s,
+    w (2 e - s) for the pairs (r, s) with r s <= n, where |2 e - s| < s and
+    the weight w <= min(r, s); so
     |acc[i, s]| < s (M (M + 1) / 2), M = n // s, which is at most n^2 / s.
     Row 0 holds 2 c_m at d = m, where c_m sums min(r, s) <= sqrt(m) over the
     at most tau(m) <= 2 sqrt(m) pairs with r s = m, so 0 <= acc[0, m] <= 4 m.
@@ -323,7 +314,7 @@ def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]
     nu_k, the measure of the t whose window ]t - 1/n, t] has minimal
     denominator > k, is the sum of (b/s - a/r - 1/n) over them (nu_0 = 1);
     the jump xi_k is the sum of frac(-n b/s) - frac(-n a/r) over them, so
-    count_above(n, k) = n nu_k + xi_k; and sigma_k is the sum of b1(n b/s)
+    n nu_k + xi_k windows have q_j > k; and sigma_k is the sum of b1(n b/s)
     over the points b/s whose left gap is such a gap and whose right gap is
     below 1/n.  xi_k = -2 sigma_k holds at every k.
 
@@ -506,20 +497,19 @@ def _part_numerators(
     return rows
 
 
-def t11_leftover_sum(n: int) -> Fraction:
-    """Direct evaluation of the complementary piece of the T11 split; always 0.
+def t11_leftover_sum(n: int) -> int:
+    """Number of orders in the complementary piece of the T11 split; always 0.
 
     For r < s with s (s - r) > n and r s <= n the order range [s, 2s - r)
     already covers every k in [s, r + s), because r s <= n < s (s - r)
     forces r < s - r.  The complementary range is therefore empty; this
-    function evaluates it literally anyway, over the kernel's pairs r < s.
+    function adds up its length literally anyway, over the kernel's pairs
+    r < s.  The lengths are >= 0, so a zero total means every range is
+    empty and the piece's sawtooth sum is 0.
     """
-    r, s, x, _ = _pairs(n)
+    r, s, _, _ = _pairs(n)
     leftover = np.maximum(0, (r + s) - np.maximum(s, 2 * s - r))
-    weight = np.where((2 * r > s) & (s - r > n // s), leftover, 0)
-    acc = np.zeros((1, n + 1), dtype=np.int64)
-    np.add.at(acc[0], s, weight * _b1_numerators(n, s, x))
-    return _dense_sums(acc)[0]
+    return int(np.where((2 * r > s) & (s - r > n // s), leftover, 0).sum())
 
 
 def t2_quotient_groups(n: int) -> dict[int, Fraction]:

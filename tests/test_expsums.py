@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 import sys
@@ -222,13 +221,17 @@ def test_kloosterman_table_does_not_depend_on_row_count(monkeypatch):
             assert np.array_equal(expsums.kloosterman_table(q), whole)
 
 
-def test_unit_inverses_by_square_and_multiply():
-    for q in range(1, 2001):
-        units, invs = expsums._units_and_inverses(q)
-        want = [(n, pow(n, -1, q)) for n in range(q) if math.gcd(n, q) == 1]
-        assert list(zip(units.tolist(), invs.tolist())) == want
-    with pytest.raises(OverflowError):
-        expsums._units_and_inverses(2**32)  # (2^32)^2 = 2^64 overflows int64
+def test_scalar_kloosterman_shares_no_inverse_table(monkeypatch):
+    # the table is checked against kloosterman(), so only the table may read
+    # the vectorised inverses
+    def boom(q):
+        raise AssertionError("vectorised inverse table used")
+
+    monkeypatch.setattr(expsums, "unit_inverses", boom)
+    expsums._unit_inverses.cache_clear()
+    assert abs(expsums.kloosterman(3, 5, 7) - oracles.kloosterman_brute(3, 5, 7)) < 1e-9
+    with pytest.raises(AssertionError):
+        expsums.kloosterman_table(7)
 
 
 @pytest.mark.parametrize("q", [1531, 1536])

@@ -176,3 +176,20 @@ def test_coprime_blocks_match_gcd_filter(ns):
         for (a, big), (_, ref) in zip(got, want):
             assert big.dtype == ref.dtype == np.int64
             assert np.array_equal(big, ref), (n, a)
+
+
+def test_unit_inverses(monkeypatch):
+    for q in range(1, 2001):
+        table = farey.unit_inverses(q)
+        want = [(pow(u, -1, q) or q) if math.gcd(u, q) == 1 else 0 for u in range(q)]
+        assert table.dtype == np.int64 and table.tolist() == want, q
+        assert not table.flags.writeable
+    assert farey.unit_inverses(1).tolist() == [1]
+    with pytest.raises(ValueError):
+        farey.unit_inverses(0)
+    # the int64 bound q^2 < 2^63 is checked before numpy builds anything
+    monkeypatch.setattr(farey, "np", None)
+    with pytest.raises(OverflowError):
+        farey.unit_inverses(2**32)
+    with pytest.raises(AttributeError):  # the largest q that passes the bound
+        farey.unit_inverses(math.isqrt(2**63 - 1))

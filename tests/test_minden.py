@@ -51,9 +51,10 @@ def test_min_denominator_rejects_unknown_algo():
 
 
 def test_window_examples():
-    assert minden.min_denominator_window(1, 1) == 1
-    assert minden.min_denominator_window(Fraction(1, 2), Fraction(1, 2)) == 2
-    assert minden.min_denominator_window(Fraction(1, 7), Fraction(1, 7)) == 7
+    # windows ]t - delta, t] of width delta
+    half, seventh = Fraction(1, 2), Fraction(1, 7)
+    for t, delta, q in ((1, 1, 1), (half, half, 2), (seventh, seventh, 7)):
+        assert minden.min_denominator(minden.Interval(t - delta, t, False, True)) == q
 
 
 def test_grid_examples():

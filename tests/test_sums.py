@@ -77,9 +77,8 @@ def test_int64_size_limits(monkeypatch):
     assert sums.PAIRS_MAX_N**2 <= int64_max < (sums.PAIRS_MAX_N + 1) ** 2
     keys = lambda n: (3 * n + 5) * (2 * n + 1) + 2 * n  # per_k_tables bucket keys
     assert keys(sums.PER_K_MAX_N) <= int64_max < keys(sums.PER_K_MAX_N + 1)
-    for over in (sums.denominator_sum, lambda n: sums.count_above(n, 1)):
-        with pytest.raises(OverflowError):
-            over(minden.GRID_MAX_N + 1)
+    with pytest.raises(OverflowError):
+        sums.denominator_sum(minden.GRID_MAX_N + 1)
     for over in (sums.window_integral, sums.remainder_parts):
         with pytest.raises(OverflowError):
             over(sums.PAIRS_MAX_N + 1)
@@ -112,12 +111,6 @@ def test_int64_size_limits(monkeypatch):
             over(sums.PAIRS_MAX_N + 1)
 
 
-def test_count_above_examples():
-    assert sums.count_above(6, 0) == 6
-    assert sums.count_above(6, 6) == 0
-    assert sums.count_above(4, 2) == 2
-
-
 @lru_cache(maxsize=None)
 def _tables(n):
     """per_k_tables(n), computed once per n across the tests below."""
@@ -125,12 +118,14 @@ def _tables(n):
 
 
 def test_count_above_both_methods_match_brute():
-    # the direct count and the window count n nu_k + xi_k of the tables
+    # the direct count over the grid blocks and the window count n nu_k + xi_k
+    # of the tables
     for n in range(1, 40):
         nu, xi, _ = _tables(n)
         for k in range(n + 1):
             expect = oracles.theta_brute(n, k)
-            assert sums.count_above(n, k) == expect
+            direct = sum(int(np.count_nonzero(b > k)) for b in minden.grid_blocks(n))
+            assert direct == expect, (n, k)
             assert n * nu[k] + xi[k] == expect, (n, k)
 
 
@@ -190,14 +185,14 @@ def test_frac_jump_sum_matches_brute_and_sawtooth():
 
 
 def test_per_k_tables_match_single_queries():
-    # the tables against the single-k window count count_above(n, k), past
-    # the n < 40 reach of the brute comparison
+    # the window count n nu_k + xi_k of the tables against the single-k
+    # count of windows with q_j > k by the definitional scan
     for n in range(1, 60):
         nu, xi, sigma = _tables(n)
         assert len(nu) == len(xi) == len(sigma) == n + 1
         assert nu[0] == 1 and xi[0] == 0 and sigma[0] == 0
         for k in range(n + 1):
-            assert n * nu[k] + xi[k] == sums.count_above(n, k), (n, k)
+            assert n * nu[k] + xi[k] == oracles.theta_brute(n, k), (n, k)
 
 
 def test_window_integral_examples():
@@ -581,8 +576,6 @@ def test_sum_report_consistency():
 def test_rejects_out_of_range():
     with pytest.raises(ValueError):
         sums.denominator_sum(0)
-    with pytest.raises(ValueError):
-        sums.count_above(5, -1)
     with pytest.raises(ValueError):
         sums.remainder(0)
     with pytest.raises(ValueError):
