@@ -116,8 +116,12 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # a Fraction is kept as it is: Fraction(x) would rebuild it through the
+        # numbers.Rational check; subclasses and other numbers are converted
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi or (
             self.lo == self.hi and not (self.lo_closed and self.hi_closed)
         ):

@@ -68,13 +68,14 @@ class SuiteResult:
         """One failed check under name; detail, the counterexample, defaults to the name."""
         self._add(name, 0, 1, lambda: name if detail is None else detail)
 
-    def check(self, name: str, cond: bool, detail: str) -> None:
+    def check(self, name: str, cond: bool, detail: Callable[[], str]) -> None:
+        """One check under name; detail() names it, called only if it fails."""
         tally = self.checks.get(name)
         if cond and tally is not None:  # the common case: one more pass of a known check
             tally.passed += 1
             self.passed += 1
         else:
-            self._add(name, int(cond), int(not cond), lambda: detail)
+            self._add(name, int(cond), int(not cond), detail)
 
     def check_all(self, name: str, ok: np.ndarray, detail: Callable[[int], str]) -> None:
         """One check per element of the boolean array ok, in its flat order.
@@ -96,7 +97,9 @@ def check_farey(max_k: int = 200) -> SuiteResult:
             if math.gcd(a, q) != 1:
                 continue
             b = farey.inv_mod(a, q)
-            res.check("inv_mod", 0 < b <= q and a * b % q == 1 % q, f"inv_mod({a}, {q}) = {b}")
+            res.check(
+                "inv_mod", 0 < b <= q and a * b % q == 1 % q, lambda: f"inv_mod({a}, {q}) = {b}"
+            )
     phis = farey.totient_sieve(max_k)
     # brute force, built and sorted once at max_k: every p/q with q <= max_k,
     # deduplicated by value; F_k is its subsequence of denominators <= k
@@ -114,7 +117,7 @@ def check_farey(max_k: int = 200) -> SuiteResult:
         res.check(
             "farey length",
             len(seq) == summatory + 1 and farey.totient_summatory(k) == summatory,
-            f"farey_sequence({k}) has length {len(seq)}",
+            lambda: f"farey_sequence({k}) has length {len(seq)}",
         )
         num = np.array([x.numerator for x in seq], dtype=np.int64)
         den = np.array([x.denominator for x in seq], dtype=np.int64)
@@ -122,7 +125,7 @@ def check_farey(max_k: int = 200) -> SuiteResult:
         res.check(
             "farey brute",
             np.array_equal(num, brute_num[in_k]) and np.array_equal(den, brute_den[in_k]),
-            f"farey_sequence({k}) != brute enumeration",
+            lambda: f"farey_sequence({k}) != brute enumeration",
         )
         a, r, b, s = num[:-1], den[:-1], num[1:], den[1:]
         res.check_all(
@@ -134,7 +137,7 @@ def check_farey(max_k: int = 200) -> SuiteResult:
         s = np.array([p.s for p in pairs], dtype=np.int64)
         res.check(
             "pair list", len(pairs) == summatory and np.array_equal(s, den[1:]),
-            f"adjacent_pairs({k}) inconsistent with the sequence",
+            lambda: f"adjacent_pairs({k}) inconsistent with the sequence",
         )
         # the pairs as a set: every (r, s) in 1..k, hitting exactly the
         # coprime (r, s) with k < r + s
@@ -145,7 +148,7 @@ def check_farey(max_k: int = 200) -> SuiteResult:
             found[r, s] = True
         res.check(
             "pair set", inside and np.array_equal(found, brute_pairs),
-            f"adjacent_pairs({k}) set mismatch",
+            lambda: f"adjacent_pairs({k}) set mismatch",
         )
         t = np.array([farey.next_denominator(k, p.r, p.s) for p in pairs], dtype=np.int64)
         # second closed form: k - s * frac((k + r) / s) = k - (k + r) mod s
@@ -183,7 +186,9 @@ def check_minden(
                 iv = minden.Interval(a, b, lo_closed, hi_closed)
                 fast = minden.min_denominator(iv, "fast")
                 oracle = minden.min_denominator(iv, "oracle")
-                res.check("fast = oracle", fast == oracle, f"{iv}: fast={fast} oracle={oracle}")
+                res.check(
+                    "fast = oracle", fast == oracle, lambda: f"{iv}: fast={fast} oracle={oracle}"
+                )
     # monotonicity under nesting: shrinking an interval can only raise q
     for _ in range(2_000):
         a = _random_fraction(rng, 500)
@@ -201,7 +206,7 @@ def check_minden(
         inner = minden.Interval(a2, b2, False, False)
         res.check(
             "nesting", minden.min_denominator(inner) >= minden.min_denominator(outer),
-            f"nesting violated for {inner} inside {outer}",
+            lambda: f"nesting violated for {inner} inside {outer}",
         )
     # reflection: the left-closed grid window mirrors a right-closed one
     for n in range(1, max_n + 1):
@@ -210,7 +215,7 @@ def check_minden(
             right = minden.min_denominator_grid(n, n - j + 1, "half-open-right")
             res.check(
                 "reflection", left == right,
-                f"reflection fails at n={n}, j={j}: {left} != {right}",
+                lambda: f"reflection fails at n={n}, j={j}: {left} != {right}",
             )
     # variant ordering per window
     for n in range(1, min(max_n, 500) + 1):
@@ -219,7 +224,7 @@ def check_minden(
         q_closed = minden.grid_denominators(n, "closed")
         res.check(
             "window order", all(o >= d >= c for o, d, c in zip(q_open, q_default, q_closed)),
-            f"variant ordering fails at n={n}",
+            lambda: f"variant ordering fails at n={n}",
         )
     # block solver against the scalar descent, window by window; the last n
     # spans three blocks, so the joins between blocks are checked too
@@ -232,7 +237,7 @@ def check_minden(
                     minden.min_denominator_grid(n, j, variant)
                     for j in range(1, n + 1)
                 ],
-                f"grid_denominators({n}, {variant!r}) != per-window solver",
+                lambda: f"grid_denominators({n}, {variant!r}) != per-window solver",
             )
     # degenerate points
     for _ in range(500):
@@ -242,7 +247,7 @@ def check_minden(
             "point interval",
             minden.min_denominator(iv) == x.denominator
             and minden.min_denominator(iv, "oracle") == x.denominator,
-            f"point interval at {x}",
+            lambda: f"point interval at {x}",
         )
     return res
 
@@ -257,47 +262,54 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
         integral = sum(nu, Fraction(0))
         res.check(
             "integral routes", integral == series[n],
-            f"integral mismatch at n={n}: per-k {integral} vs incremental {series[n]}",
+            lambda: f"integral mismatch at n={n}: per-k {integral} vs incremental {series[n]}",
         )
         r_def = s - n * integral
         r_counts = sum(xi[1:], Fraction(0))
         res.check(
-            "R routes", r_def == r_counts, f"R routes disagree at n={n}: {r_def} vs {r_counts}"
+            "R routes", r_def == r_counts,
+            lambda: f"R routes disagree at n={n}: {r_def} vs {r_counts}",
         )
         parts = sums.remainder_parts(n)
-        res.check("R = -2T", r_def == -2 * parts.t, f"R != -2T at n={n}: {r_def} vs {parts.t}")
-        res.check("T = T1 + T2", parts.t == parts.t1 + parts.t2, f"T != T1+T2 at n={n}")
-        res.check("T1 = T11 + T12", parts.t1 == parts.t11 + parts.t12, f"T1 != T11+T12 at n={n}")
         res.check(
-            "sawtooth by order", sum(sigma[1:], Fraction(0)) == parts.t,
-            f"sawtooth-by-order total != T at n={n}",
+            "R = -2T", r_def == -2 * parts.t, lambda: f"R != -2T at n={n}: {r_def} vs {parts.t}"
+        )
+        res.check("T = T1 + T2", parts.t == parts.t1 + parts.t2, lambda: f"T != T1+T2 at n={n}")
+        res.check(
+            "T1 = T11 + T12", parts.t1 == parts.t11 + parts.t12,
+            lambda: f"T1 != T11+T12 at n={n}",
         )
         res.check(
-            "T11 leftover", sums.t11_leftover_sum(n) == 0, f"T11 leftover sum nonzero at n={n}"
+            "sawtooth by order", sum(sigma[1:], Fraction(0)) == parts.t,
+            lambda: f"sawtooth-by-order total != T at n={n}",
+        )
+        res.check(
+            "T11 leftover", sums.t11_leftover_sum(n) == 0,
+            lambda: f"T11 leftover sum nonzero at n={n}",
         )
         groups = sums.t2_quotient_groups(n)
         res.check(
             "T2 groups", groups[2] == 0 and sum(groups.values(), Fraction(0)) == parts.t2,
-            f"T2 quotient grouping fails at n={n}",
+            lambda: f"T2 quotient grouping fails at n={n}",
         )
+        # n nu_k + xi_k windows have q_j > k, for k = 1..n; all n have q_j > 0
+        counts = [n, *(n * nu[k] + xi[k] for k in range(1, n + 1))]
         # S recovered from the order-count formula, no window queries involved
-        s_counts = Fraction(n) + sum(
-            (n * nu[k] + xi[k] for k in range(1, n + 1)), Fraction(0)
+        s_counts = sum(counts, Fraction(0))
+        res.check(
+            "S via counts", s_counts == s, lambda: f"S via counts {s_counts} != {s} at n={n}"
         )
-        res.check("S via counts", s_counts == s, f"S via counts {s_counts} != {s} at n={n}")
         if n <= theta_max_n:
-            for k in range(n + 1):
-                direct = sum(1 for q in qs if q > k)
-                formula = n * nu[k] + xi[k] if k else Fraction(n)
-                res.check(
-                    "window count", formula == direct,
-                    f"window count formula fails at n={n}, k={k}",
-                )
+            direct = np.count_nonzero(np.array(qs)[:, None] > np.arange(n + 1), axis=0)
+            res.check_all(
+                "window count", [c == d for c, d in zip(counts, direct.tolist())],
+                lambda k: f"window count formula fails at n={n}, k={k}",
+            )
         if n <= 50:
             for k in range(1, n + 1):
                 res.check(
                     "jump = -2 sawtooth", xi[k] == -2 * sigma[k],
-                    f"per-order jump != -2 sawtooth at n={n}, k={k}",
+                    lambda: f"per-order jump != -2 sawtooth at n={n}, k={k}",
                 )
     return res
 
@@ -320,23 +332,28 @@ def check_variants(max_n: int = 500) -> SuiteResult:
         for variant, s_grid in grid.items():
             res.check(
                 "reflected sum", reflected[variant] == s_grid,
-                f"denominator_sum({n}, {variant!r}) = {reflected[variant]} != grid sum {s_grid}",
+                lambda: f"denominator_sum({n}, {variant!r}) = {reflected[variant]}"
+                f" != grid sum {s_grid}",
             )
         s, s_left = grid["half-open-right"], grid["half-open-left"]
         s_closed, s_open = grid["closed"], grid["open"]
-        res.check("mirrored sum", s_left == s, f"left/right half-open sums differ at n={n}")
-        res.check("variant order", s_closed <= s <= s_open, f"variant ordering fails at n={n}")
+        res.check(
+            "mirrored sum", s_left == s, lambda: f"left/right half-open sums differ at n={n}"
+        )
+        res.check(
+            "variant order", s_closed <= s <= s_open, lambda: f"variant ordering fails at n={n}"
+        )
         gap = sums.variant_gap(n)
         res.check(
             "open gap", s_open - s == gap,
-            f"open-variant gap {s_open - s} != divisor form {gap} at n={n}",
+            lambda: f"open-variant gap {s_open - s} != divisor form {gap} at n={n}",
         )
         tau_n = expsums.divisor_count(n)
-        res.check("gap <= n tau(n)", gap <= n * tau_n, f"gap {gap} > n tau(n) at n={n}")
+        res.check("gap <= n tau(n)", gap <= n * tau_n, lambda: f"gap {gap} > n tau(n) at n={n}")
         res.check(
             "lower gap",
             reflected["half-open-right"] - reflected["closed"] == s - s_closed,
-            f"lower gap inconsistent at n={n}",
+            lambda: f"lower gap inconsistent at n={n}",
         )
     return res
 
@@ -387,10 +404,12 @@ def _inverted_spreads(table: np.ndarray) -> np.ndarray:
     return prefix.max(axis=1) - prefix.min(axis=1)
 
 
-def weighted_bound_grid(s: int, n: int, tail: float) -> np.ndarray:
+def weighted_bound_grid(s: int, n, tail: float) -> np.ndarray:
     """The weighted sawtooth bound at every start a2/2 and width w, as a (2s, s) bool array.
 
-    Entry [a2, w - 1], for 0 <= a2 < 2s and 1 <= w <= s, is
+    n is an int, or an int64 column of shape (m, 1) that gives an (m, 2s, s)
+    array, entry [i] the grid of n[i, 0].  Entry [a2, w - 1] of a grid, for
+    0 <= a2 < 2s and 1 <= w <= s, is
     expsums.exact_within_bound(sum, w * tail) for the exact sum of
     (r - a2/2) b1(n inv(r, s) / s) over the r in ]a2/2, a2/2 + w] coprime to
     s.  That sum is num / 4s for an integer num built from prefix sums of
@@ -402,12 +421,12 @@ def weighted_bound_grid(s: int, n: int, tail: float) -> np.ndarray:
         raise ValueError(f"s must be in 1..{WEIGHTED_GRID_MAX_S}, got {s}")
     r = np.arange(3 * s + 1, dtype=np.int64)
     v = _inverted_values(np.r_[0, 2 * np.arange(1, s) - s], n, r)  # 2s b1(x / s) at x
-    pu, pru = np.cumsum(v), np.cumsum(r * v)
+    pu, pru = np.cumsum(v, axis=-1), np.cumsum(r * v, axis=-1)
     a2 = np.arange(2 * s)[:, None]
     w = np.arange(1, s + 1)
     lo = a2 // 2
     hi = lo + w
-    num = 2 * (pru[hi] - pru[lo]) - a2 * (pu[hi] - pu[lo])
+    num = 2 * (pru[..., hi] - pru[..., lo]) - a2 * (pu[..., hi] - pu[..., lo])
     return np.nextafter(np.abs(num) / (4 * s), np.inf) <= w * tail + expsums.BOUND_SLACK
 
 
@@ -431,7 +450,7 @@ def check_expsums(
         back = expsums.idft(expsums.dft(f))
         res.check(
             "round trip", np.abs(back.values - f.values).max() <= tol,
-            f"round-trip fails at q={q}",
+            lambda: f"round-trip fails at q={q}",
         )
         if q >= 2 and q <= 128:
             even = expsums.PeriodicFunction(q, _random_even_values(q, rng))
@@ -440,12 +459,12 @@ def check_expsums(
             res.check(
                 "even transform",
                 even_hat.is_even(tol) and np.abs(even_hat.values.imag).max() <= tol,
-                f"even transform not even real at q={q}",
+                lambda: f"even transform not even real at q={q}",
             )
             res.check(
                 "odd transform",
                 odd_hat.is_odd(tol) and np.abs(odd_hat.values.real).max() <= tol,
-                f"odd transform not odd imaginary at q={q}",
+                lambda: f"odd transform not odd imaginary at q={q}",
             )
 
     # the FFT transforms against the direct O(q^2) sums at two primes above 100
@@ -464,7 +483,7 @@ def check_expsums(
             worst = float(np.abs(got - want).max())
             res.check(
                 "fft = direct", worst <= 64 * q * EPS,
-                f"{name} off the direct sum by {worst} at q={q}",
+                lambda: f"{name} off the direct sum by {worst} at q={q}",
             )
 
     # Kloosterman: realness, Weil bound, Ramanujan specialization and evenness,
@@ -484,18 +503,18 @@ def check_expsums(
         )
         res.check(
             "weil", bool((np.abs(table) <= bound + tol).all()),
-            f"Weil bound fails at q={q}",
+            lambda: f"Weil bound fails at q={q}",
         )
         res.check(
             "ramanujan evenness",
             bool((np.abs(table[:, 0] - table[-ar, 0]) <= tol).all()),
-            f"Ramanujan evenness fails at q={q}",
+            lambda: f"Ramanujan evenness fails at q={q}",
         )
         if q <= 50:
             for a in range(q):
                 res.check(
                     "ramanujan", abs(expsums.ramanujan(a, q) - table[a, 0]) <= tol,
-                    f"ramanujan({a}, {q}) != K({a}, 0; {q})",
+                    lambda: f"ramanujan({a}, {q}) != K({a}, 0; {q})",
                 )
         # the table against the scalar sum: every entry up to q = 30, then one
         # seeded entry in each divisor class {b : gcd(b, q) = d} and 7 more
@@ -511,7 +530,7 @@ def check_expsums(
             res.check(
                 "kloosterman table",
                 abs(table[a, b] - expsums.kloosterman(a, b, q)) <= tol,
-                f"kloosterman_table({q})[{a}, {b}] != K({a}, {b}; {q})",
+                lambda: f"kloosterman_table({q})[{a}, {b}] != K({a}, {b}; {q})",
             )
 
     # sawtooth transform: closed form vs direct DFT, and the transform-sum bound
@@ -522,17 +541,17 @@ def check_expsums(
         )
         res.check(
             "b1 transform", worst <= 16 * q * q * EPS,
-            f"sawtooth transform mismatch {worst} at q={q}",
+            lambda: f"sawtooth transform mismatch {worst} at q={q}",
         )
         if q >= 2:
             total = np.abs(f_hat.values[:-1]).sum()
             res.check(
                 "transform sum bound", total <= q * math.log(q) / 2 + expsums.BOUND_SLACK,
-                f"transform sum bound fails at q={q}",
+                lambda: f"transform sum bound fails at q={q}",
             )
         res.check(
             "full-period twisted", expsums.twisted_b1_sum(1, q, q, rng.randint(1, q)) == 0,
-            f"full-period twisted sum nonzero at q={q}",
+            lambda: f"full-period twisted sum nonzero at q={q}",
         )
 
     # twisted sawtooth bound, exhaustively over all subintervals via prefix extremes
@@ -554,10 +573,11 @@ def check_expsums(
         total = expsums.twisted_b1_sum(lo, hi, q, n)
         res.check(
             "twisted spot", expsums.exact_within_bound(total, expsums.twisted_b1_bound(q)),
-            f"twisted bound check fails at q={q}, n={n}, [{lo},{hi}]",
+            lambda: f"twisted bound check fails at q={q}, n={n}, [{lo},{hi}]",
         )
 
     # weighted_bound_grid for every s <= s_weighted and n <= s_weighted, starts a2-major
+    ns = np.arange(1, s_weighted + 1, dtype=np.int64)
     for s in range(2, s_weighted + 1):
         tail = (
             expsums.divisor_count(s)
@@ -565,11 +585,16 @@ def check_expsums(
             * math.log(s)
             * math.sqrt(s)
         )
-        for n in range(1, s_weighted + 1):
-            res.check_all(
-                "weighted", weighted_bound_grid(s, n, tail),
-                lambda i: f"weighted bound fails at s={s}, n={n}, a={i // s}/2, w={i % s + 1}",
-            )
+        # n in blocks of at most 2^13 grid entries: all 40 n at once would hold
+        # 3 MB of int64 temporaries at s = 40, above the rest of the suite's peak
+        step = max(1, 2**12 // s**2)
+        for lo in range(0, s_weighted, step):
+            block = ns[lo : lo + step]
+            for n, grid in zip(block.tolist(), weighted_bound_grid(s, block[:, None], tail)):
+                res.check_all(
+                    "weighted", grid,
+                    lambda i: f"weighted bound fails at s={s}, n={n}, a={i // s}/2, w={i % s + 1}",
+                )
     # spot-check the prefix evaluation against the public function
     for _ in range(200):
         s = rng.randint(2, 30)
@@ -580,7 +605,7 @@ def check_expsums(
         res.check(
             "weighted spot",
             expsums.exact_within_bound(total, expsums.weighted_b1_bound(s, a, a + w)),
-            f"weighted bound check fails at s={s}, a={a}, w={w}, n={n}",
+            lambda: f"weighted bound check fails at s={s}, a={a}, w={w}, n={n}",
         )
 
     # inverted-argument transform bound for odd functions, exhaustive small sizes
@@ -604,11 +629,11 @@ def check_expsums(
     # geometric sums against the sine bound
     res.check(
         "geometric", expsums.geometric_sum_bound_check(0, 1, Fraction(1, 2)),
-        "geometric bound fails on the two-term cancellation",
+        lambda: "geometric bound fails on the two-term cancellation",
     )
     res.check(
         "geometric", expsums.geometric_sum_bound_check(0, 9, Fraction(1, 3)),
-        "geometric bound fails on [0, 9] at 1/3",
+        lambda: "geometric bound fails on [0, 9] at 1/3",
     )
     for _ in range(1_000):
         den = rng.randint(2, 400)
@@ -617,7 +642,7 @@ def check_expsums(
         res.check(
             "geometric",
             expsums.geometric_sum_bound_check(lo, lo + rng.randint(0, 300), Fraction(num, den)),
-            f"geometric bound fails at alpha={num}/{den}",
+            lambda: f"geometric bound fails at alpha={num}/{den}",
         )
 
     # comparison sum used by the chained bounds: sum of cosecants below q log q
@@ -625,7 +650,7 @@ def check_expsums(
         total = sum(1 / math.sin(math.pi * m / q) for m in range(1, q))
         res.check(
             "cosecant", total <= q * math.log(q),
-            f"cosecant comparison sum exceeds q log q at q={q}",
+            lambda: f"cosecant comparison sum exceeds q log q at q={q}",
         )
     return res
 

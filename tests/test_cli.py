@@ -263,6 +263,32 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # main() keeps one parser per process: a failed parse or another
+    # subcommand in between leaves the output of every later call unchanged
+    commands = [
+        ("compute", "--n", "1999"),
+        ("compute", "--bogus"),
+        ("compute", "--n", "1999"),
+        ("sweep", "--from", "1", "--to", "40", "--factor", "2"),
+        ("verify", "--suite", "variants", "--max-n", "5"),
+    ]
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    first = {}
+    for argv in commands * 2:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        err = re.sub(r"in \d+\.\d\d s", "in _ s", err)  # verify's suite timings
+        assert first.setdefault(argv, (code, out, err)) == (code, out, err), argv
+    assert [first[argv][0] for argv in commands] == [0, 2, 0, 0, 0]
+    assert built == [1]
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "40")
     assert code == 0

@@ -14,9 +14,15 @@ fracs = st.fractions(min_value=0, max_value=1, max_denominator=200)
 
 
 def test_interval_validation():
-    iv = minden.Interval(Fraction(1, 3), Fraction(1, 2))
+    lo, hi = Fraction(1, 3), Fraction(1, 2)
+    iv = minden.Interval(lo, hi)
     assert not iv.lo_closed and iv.hi_closed  # default window shape
-    minden.Interval(1, 1, True, True)  # degenerate point is fine
+    assert iv.lo is lo and iv.hi is hi  # a Fraction endpoint is kept as it is
+    point = minden.Interval(1, 1, True, True)  # degenerate point is fine
+    sub = type("SubFraction", (Fraction,), {})(1, 4)
+    for iv in (point, minden.Interval(sub, 0.5)):  # ints, subclasses, floats converted
+        assert type(iv.lo) is type(iv.hi) is Fraction
+    assert (iv.lo, iv.hi) == (Fraction(1, 4), Fraction(1, 2))
     with pytest.raises(ValueError):
         minden.Interval(Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(ValueError):

@@ -45,9 +45,12 @@ def test_weighted_bound_grid_matches_scalar_checks(scale):
         tail = scale * (
             expsums.divisor_count(s) * expsums.beta(s) * math.log(s) * math.sqrt(s)
         )
-        for n in {1, s, rng.randint(1, 40)}:
+        ns = sorted({1, s, rng.randint(1, 40)})
+        column = verify.weighted_bound_grid(s, np.array(ns, dtype=np.int64)[:, None], tail)
+        assert column.shape == (len(ns), 2 * s, s)
+        for n, row in zip(ns, column):
             grid = verify.weighted_bound_grid(s, n, tail)
-            assert grid.shape == (2 * s, s)
+            assert grid.shape == (2 * s, s) and np.array_equal(row, grid), (s, n)
             assert grid.ravel().tolist() == _scalar_weighted_grid(s, n, tail), (s, n)
             failures += int(grid.size - np.count_nonzero(grid))
     # the bound holds at the real tail and still at 0.05 of it; at 0.01 of it
@@ -115,7 +118,7 @@ def test_check_all_matches_check_loop(seed):
         ok = np.array([rng.random() < 0.9 for _ in range(size)], dtype=bool).reshape(-1, 1)
         bulk.check_all(name, ok, lambda i, size=size: f"element {i} of {size}")
         for i, cond in enumerate(ok.ravel()):
-            loop.check(name, bool(cond), f"element {i} of {size}")
+            loop.check(name, bool(cond), lambda: f"element {i} of {size}")
     assert (bulk.passed, bulk.failed, bulk.first_failure) == (
         loop.passed,
         loop.failed,
