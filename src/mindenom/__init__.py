@@ -50,6 +50,7 @@ from .sums import (
     RemainderParts,
     SumReport,
     denominator_sum,
+    denominator_sums,
     remainder,
     remainder_parts,
     sum_report,
@@ -70,6 +71,7 @@ __all__ = [
     "b1_hat_closed",
     "beta",
     "denominator_sum",
+    "denominator_sums",
     "dft",
     "divisor_count",
     "farey_sequence",

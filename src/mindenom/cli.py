@@ -93,7 +93,12 @@ def sweep_rows(
 ) -> list[SweepRow]:
     """Rows of the sweep table, exact integral up to budget, float beyond.
 
-    Raises OverflowError before any work when stop > minden.GRID_MAX_N.
+    The float integrals come first, then every S from one
+    sums.denominator_sums call over the grid: with an integer --factor
+    each row from the factor up divides the next larger one and is
+    coarsened from its half grid, and the other rows (--step, a fractional
+    --factor, rows below the factor) descend one by one.  Raises
+    OverflowError before any work when stop > minden.GRID_MAX_N.
     """
     if start < 1 or stop < start:
         raise ValueError(f"need 1 <= start <= stop, got {start}..{stop}")
@@ -109,8 +114,7 @@ def sweep_rows(
     series = sums.window_integral_series(exact_ns[-1]) if exact_ns else None
     floats = iter(sums.window_integral_floats(grid[len(exact_ns) :]))
     rows = []
-    for n in grid:
-        s = sums.denominator_sum(n, variant)
+    for n, s in zip(grid, sums.denominator_sums(grid, variant)):
         integral = float(series[n]) if n <= budget else next(floats)
         rows.append(
             SweepRow(

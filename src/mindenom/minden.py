@@ -50,11 +50,13 @@ the four endpoint terms stay in 0..n, so c*bd <= (an/ad + 1) bd
 contains (2j - 1)/(2n)).  So no value of the descent exceeds 2n (c*bd
 reaches 2n - 2 at the open window j = n), and neither do the parked
 values 0 and -1 or the swap q1, q0 = q0, q1 that m = 0 makes of a parked
-window.  The descent holds its state in int32 when 2n <= INT32_MAX, that is
-n <= 2**30 - 1, and in int64 above; the width depends on n alone.  Its
-denominators are int64 either way, and the int64 sum of any block stays
-<= 2n*CHUNK; that holds for the blocks of half_grid_blocks, which
-sums.denominator_sum adds, as for those of grid_blocks.  GRID_MAX_N is the
+window.  The descent holds its state in grid_dtype(n): int32 when
+2n <= INT32_MAX, that is n <= 2**30 - 1, and int64 above; the width depends
+on n alone.  Its denominators are int64 either way, and the int64 sum of any
+block stays <= 2n*CHUNK; that holds for the blocks of half_grid_blocks,
+which sums.denominator_sums adds (and copies into a held half grid of
+grid_dtype(n) when the next smaller row of its list is coarsened from n),
+as for those of grid_blocks.  GRID_MAX_N is the
 largest n for which 2n*CHUNK fits int64; grid_blocks and half_grid_blocks
 raise OverflowError above it before anything is allocated.
 
@@ -64,7 +66,7 @@ and p/q onto (q - p)/q, of the same denominator.  The closed and the open
 grids map onto themselves, so q_j = q_{n+1-j} there, and the windows
 j <= n // 2 of half_grid_blocks carry their sums, with the middle window
 (n + 1) / 2 when n is odd.  The half-open grid ]a, b] maps onto [a, b[.
-sums.denominator_sum solves the open half grid alone and takes the other
+sums.denominator_sums solves the open half grid alone and takes the other
 three sums from it: each half-open one adds the right or the left endpoints,
 and the closed one both, and the divisor sums of sums._gaps say what each
 endpoint changes.
@@ -280,12 +282,21 @@ def _blocks(n: int, stop: int, variant: Variant) -> Iterator[np.ndarray]:
     return (_descend_block(n, j, lo_open, hi_open) for j in blocks)
 
 
+def grid_dtype(n: int) -> type:
+    """The integer type of the n-grid descent: int32 when 2n <= INT32_MAX, int64 above.
+
+    Every value of the descent, every denominator among them, is at most 2n
+    (see the module docstring).
+    """
+    return np.int32 if 2 * n <= INT32_MAX else np.int64
+
+
 def _descend_block(n: int, j: np.ndarray, a_open: bool, b_open: bool) -> np.ndarray:
     """Denominators of _simplest_in(j - 1, n, a_open, j, n, b_open) for an integer array j.
 
-    The descent runs in int32 when 2n fits it and in int64 above; q is int64.
+    The descent runs in grid_dtype(n); q is int64.
     """
-    j = j.astype(np.int32 if 2 * n <= INT32_MAX else np.int64)
+    j = j.astype(grid_dtype(n))
     q = np.empty(j.size, dtype=np.int64)
     at = np.arange(j.size)
     an, ad, bn, bd = j - 1, np.full_like(j, n), j, np.full_like(j, n)

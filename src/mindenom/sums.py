@@ -18,7 +18,8 @@ The quantities provided, all exact rationals unless stated otherwise:
   the sum and its integral smoothing.  Identity: R = -2 T where T is a sum of
   sawtooth values at Farey points, split as T = T1 + T2 and T1 = T11 + T12 by
   remainder_parts.
-* denominator_sum(n, variant): S(n) for any of the four boundary variants.
+* denominator_sum(n, variant): S(n) for any of the four boundary variants,
+  and denominator_sums(ns, variant) for many n, one descent per divisor chain.
 * variant_gap(n): how much S grows when the grid windows are all-open
   instead of half-open.
 
@@ -50,6 +51,28 @@ ordered coprime (r, s) with r s = n bounds exactly one window (a is
 -s^-1 mod r).  So every variant sum solves the n // 2 windows of the open
 half grid alone, and sum_report solves them once for all four.
 
+Nested grids share one descent.  Let n divide m, k = m / n.  The open
+window ](j - 1)/n, j/n[ is the union of the k open windows k (j - 1) + 1 ..
+k j of the m-grid and of the k - 1 points x/m, k (j - 1) < x < k j, between
+them, and x/m reduces to the denominator m / gcd(x, m).  So q_open(n, j) is
+the least of the k window minima and of those point denominators, and the
+windows j <= n // 2 read only the windows <= k (n // 2) <= m // 2 of m: the
+open half grid of n is coarsened from that of m (_coarsen).  Only some
+points need reading.  Consecutive fractions b/d < b'/d' of the Farey
+sequence of order n + 1 are 1/(d d') apart with d + d' >= n + 2, so
+d d' >= n + 1 and every open interval of length 1/n holds a fraction of
+denominator <= n + 1: q_open(n, j) <= n + 1.  A point of denominator
+m / g > n + 1 is thus never the minimum, and for g = gcd(x, m) k does not
+divide g, as it does not divide x.  So each divisor g of m with
+m <= (n + 1) g that k does not divide caps the window x // k + 1 of every
+multiple x of g that k does not divide at m / g; that cap is at least the
+point's own denominator m / gcd(x, m), which its own divisor gcd(x, m)
+applies.  In a chain of powers of one prime no divisor qualifies (a
+coarsened row has n >= k >= 2), and the coarsening is k strided minima.
+denominator_sums walks the distinct rows from the largest down: a row n that
+divides the next larger row m with k <= n (so k <= sqrt(m) strided views)
+is coarsened from that row's half grid, any other row descends.
+
 Every pair sum takes its pairs from the block kernel farey.coprime_blocks.
 window_integral reads the blocks alone, for W(n) = 1 + P - Q/n (P and Q sum
 1/max(r, s) and min(r, s), per product r s in _min_sums); the sawtooth sums
@@ -71,7 +94,11 @@ the largest denominator, cmax the largest |numerator|), and Python ints
 finish it.  The bucketed sums of per_k_tables and t2_quotient_groups
 (_fraction_sums) add the numerators per (bucket, denominator) and merge each
 bucket alone in Python ints.  S(n) adds up the int64 blocks of
-minden.half_grid_blocks, never a list of all n denominators.
+minden.half_grid_blocks.  A half grid is held only when the next smaller
+row of denominator_sums coarsens from it: one preallocated array of n // 2
+entries, int32 when 2n <= INT32_MAX as in the descent (2 bytes per window
+of the grid) and int64 above, filled block by block and summed in int64.
+A single n never holds one and streams in O(CHUNK) memory.
 PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
 larger n raise OverflowError up front, before any window is solved.
 """
@@ -86,7 +113,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .farey import coprime_blocks, unit_inverses
-from .minden import VARIANT_FLAGS, Variant, check_grid_size, half_grid_blocks
+from .minden import (
+    CHUNK,
+    VARIANT_FLAGS,
+    Variant,
+    check_grid_size,
+    grid_dtype,
+    half_grid_blocks,
+)
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
 
@@ -111,26 +145,90 @@ class RemainderParts(NamedTuple):
 def denominator_sum(n: int, variant: Variant = "half-open-right") -> int:
     """S(n): sum of the minimal denominators of the n grid windows, from half the windows.
 
-    Every variant starts from S_open(n), which adds the int64 blocks of the
-    open minden.half_grid_blocks.  Both half-open sums are S_open(n) - G(n)
-    and the closed sum is S_open(n) - 2 G(n) + c(n), with (G, c) from _gaps
-    (see the module docstring).  Raises ValueError for n < 1 and
+    denominator_sums([n], variant)[0]: one descent of the open half grid,
+    streamed in O(CHUNK) memory.  Raises ValueError for n < 1 and
     OverflowError for n > minden.GRID_MAX_N before any window is solved.
     """
+    return denominator_sums([n], variant)[0]
+
+
+def denominator_sums(ns: Sequence[int], variant: Variant = "half-open-right") -> list[int]:
+    """S(n) for each n of ns, in input order, with one descent per divisor chain.
+
+    Every variant starts from S_open(n) (_open_sums, which coarsens a row n
+    from the half grid of the next larger row m when n divides m and
+    m / n <= n).  Both
+    half-open sums are S_open(n) - G(n) and the closed sum is
+    S_open(n) - 2 G(n) + c(n), with (G, c) from _gaps (see the module
+    docstring).  Raises ValueError for an n < 1 and OverflowError for an
+    n > minden.GRID_MAX_N anywhere in ns before any window is solved.
+    """
+    ns = list(ns)
     lo_closed, hi_closed = VARIANT_FLAGS[variant]
-    s_open = _open_sum(n)
-    if not (lo_closed or hi_closed):
-        return s_open
-    gap, corner = _gaps(n)
-    if lo_closed and hi_closed:
-        return s_open - 2 * gap + corner
-    return s_open - gap
+    for n in ns:
+        check_grid_size(n)
+    totals = _open_sums(ns)
+    if lo_closed or hi_closed:
+        for n, s_open in totals.items():
+            gap, corner = _gaps(n)
+            totals[n] = s_open - (2 * gap - corner if lo_closed and hi_closed else gap)
+    return [totals[n] for n in ns]
 
 
-def _open_sum(n: int) -> int:
-    """S_open(n): twice the open windows j <= n // 2, plus 2 for odd n's middle window (1/2)."""
-    half = sum(int(block.sum()) for block in half_grid_blocks(n, "open"))
-    return 2 * half + 2 * (n % 2)
+def _open_sums(ns: Sequence[int]) -> dict[int, int]:
+    """S_open(n) for each distinct n of ns: twice the open windows j <= n // 2, plus 2 for odd n.
+
+    The rows are walked from the largest down.  The half grid of a row n is
+    held only when the next smaller row below divides it with
+    n / below <= below, so that _coarsen takes k <= sqrt(n) strided views (a
+    k near n would run a Python loop of n steps for a few windows).  It is
+    one array of n // 2 entries of minden.grid_dtype(n), filled block by
+    block, and the row below is coarsened from it; any other row descends
+    minden.half_grid_blocks.  The 2 of odd n is its middle window, which
+    holds 1/2.
+    """
+    rows = sorted(set(ns), reverse=True)
+    out = {}
+    held = None  # (m, the open half grid of m) while the next row divides m
+    for n, below in zip(rows, rows[1:] + [0]):
+        keep = n <= below * below and n % below == 0
+        if held is not None:
+            half = _coarsen(*held, n)
+            total = int(half.sum(dtype=np.int64))
+        else:
+            half = np.empty(n // 2, dtype=grid_dtype(n)) if keep else None
+            total = 0
+            for j, block in zip(range(0, n // 2, CHUNK), half_grid_blocks(n, "open")):
+                total += int(block.sum())
+                if keep:
+                    half[j : j + block.size] = block
+        out[n] = 2 * total + 2 * (n % 2)
+        held = (n, half) if keep else None
+    return out
+
+
+def _coarsen(m: int, fine: np.ndarray, n: int) -> np.ndarray:
+    """The open half grid of n from fine, the open half grid of m, for n | m.
+
+    With k = m / n, the window j of n is the least of the k windows
+    k (j - 1) + 1 .. k j of m, one strided view each, and of the points x/m
+    between them.  A point reaches that least value only if its
+    denominator m / gcd(x, m) is at most n + 1, so only the divisors g of m
+    with m <= (n + 1) g that k does not divide are read: each multiple x of
+    g with k not dividing x caps the window x // k + 1 at m / g (see the
+    module docstring).
+    """
+    k = m // n
+    stop = k * (n // 2)
+    coarse = fine[:stop:k].copy()
+    for t in range(1, k):
+        np.minimum(coarse, fine[t:stop:k], out=coarse)
+    for g in _divisors(_factorize(m)):
+        if g % k and m <= (n + 1) * g:
+            x = np.arange(g, stop, g)
+            at = x[x % k != 0] // k
+            coarse[at] = np.minimum(coarse[at], m // g)
+    return coarse
 
 
 def _check_size(n: int, limit: int, what: str) -> None:
@@ -552,26 +650,30 @@ def _gaps(n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    divisors = [(1, ())]  # (s, the primes of s) for every divisor s of n
+    factors = _factorize(n)
     unitary = [1]
-    for p, e in _factorize(n):
-        divisors = [
-            (s * p**k, primes + (p,) if k else primes)
-            for s, primes in divisors
-            for k in range(e + 1)
-        ]
+    for p, e in factors:
         unitary += [u * p**e for u in unitary]
     total = 0
-    for s, primes in divisors:
+    for s in _divisors(factors):
         m = n // s
         x = min(m, s)
         moebius = [(1, 1)]  # (d, mu(d)) for the squarefree d | s
-        for p in primes:
-            moebius += [(d * p, -mu) for d, mu in moebius]
+        for p, _ in factors:
+            if s % p == 0:
+                moebius += [(d * p, -mu) for d, mu in moebius]
         for d, mu in moebius:
             a, b = x // d, m // d
             total += mu * (d * (a * (a + 1) // 2) + s * (b - a))
     return total, sum(min(u, n // u) for u in unitary)
+
+
+def _divisors(factors: list[tuple[int, int]]) -> list[int]:
+    """Every divisor of the number whose _factorize pairs (p, exponent) are factors."""
+    divisors = [1]
+    for p, e in factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return divisors
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -628,7 +730,7 @@ def sum_report(n: int) -> SumReport:
     before the descent.
     """
     _check_report_size(n)
-    s_open = _open_sum(n)
+    s_open = _open_sums([n])[n]
     gap, corner = _gaps(n)
     s = s_open - gap
     acc = _pair_rows(n)

@@ -315,16 +315,19 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
 
 
 def check_variants(max_n: int = 500) -> SuiteResult:
-    """The four variant sums of the per-window grid, and denominator_sum against them.
+    """The four variant sums of the per-window grid, and denominator_sum(s) against them.
 
     denominator_sum reflects half of the open grid and takes the other three
     sums from it and the divisor sums G and c, so the reference sums come from
     minden.grid_blocks, which solves every window; every other check reads
-    those alone.
+    those alone.  "chained sum" makes one denominator_sums call per variant
+    over the divisors of max_n, which coarsens each divisor from the half
+    grid of a larger one.
     """
     res = SuiteResult("variants")
+    grids = {}
     for n in range(1, max_n + 1):
-        grid = {
+        grid = grids[n] = {
             variant: sum(int(block.sum()) for block in minden.grid_blocks(n, variant))
             for variant in minden.VARIANT_FLAGS
         }
@@ -355,6 +358,15 @@ def check_variants(max_n: int = 500) -> SuiteResult:
             reflected["half-open-right"] - reflected["closed"] == s - s_closed,
             lambda: f"lower gap inconsistent at n={n}",
         )
+    divisors = [n for n in range(1, max_n + 1) if max_n % n == 0]
+    for variant in minden.VARIANT_FLAGS:
+        chained = sums.denominator_sums(divisors, variant)
+        for n, s in zip(divisors, chained):
+            res.check(
+                "chained sum", s == grids[n][variant],
+                lambda: f"denominator_sums(divisors of {max_n}, {variant!r}) gives"
+                f" S({n}) = {s} != grid sum {grids[n][variant]}",
+            )
     return res
 
 

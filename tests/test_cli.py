@@ -316,10 +316,10 @@ def test_variant_sweep(capsys):
 def test_verify_stats_goes_to_stderr(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "variants", "--max-n", "20")
     assert code == 0
-    assert out == "variants: 180 passed, 0 failed\nOK\n"
+    assert out == "variants: 204 passed, 0 failed\nOK\n"
     head, *checks = err.splitlines()
-    assert re.fullmatch(r"variants: 180 checks in \d+\.\d\d s", head)
+    assert re.fullmatch(r"variants: 204 checks in \d+\.\d\d s", head)
     names = ["mirrored sum", "variant order", "open gap", "gap <= n tau(n)", "lower gap"]
     assert checks == ["  reflected sum: 80 passed, 0 failed"] + [
         f"  {name}: 20 passed, 0 failed" for name in names
-    ]
+    ] + ["  chained sum: 24 passed, 0 failed"]  # 4 variants x the 6 divisors of 20

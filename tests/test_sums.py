@@ -72,6 +72,86 @@ def test_denominator_sum_memory_is_bounded():
     assert peak < 32 * minden.CHUNK * 8
 
 
+def test_denominator_sums_match_grid():
+    chunk = minden.CHUNK
+    chains = [
+        [2**k for k in range(12)],  # k = 2
+        [3**k for k in range(8)],  # k = 3, odd top 2187
+        [5**k for k in range(5)],  # k = 5, odd top 625
+        [10**k for k in range(4)],  # k = 10
+        [105105, 21021, 3003, 429, 33, 3, 1],  # odd top past 2 CHUNK, k = 5, 7, 7, 13, 11, 3, 3
+        [2 * chunk * 5, 10, 2],  # k = CHUNK and 5, each above its row: all three descend
+        [720720, 360360, 120120, 30030, 6006, 858, 66, 6, 2],
+        [d for d in range(1, 5041) if 5040 % d == 0],
+    ]
+    mixed = [
+        [12, 1, 36, 12, 5, 36, 4, 7, 1],  # duplicates, unsorted
+        [7919, 1000, 999, 2, 3, 2 * chunk + 3],  # no row divides the next larger one
+    ]
+    for ns in chains + mixed:
+        for variant in minden.VARIANT_FLAGS:
+            expected = [_grid_sum(n, variant) for n in ns]
+            assert sums.denominator_sums(ns, variant) == expected, (ns, variant)
+            assert sums.denominator_sums(ns[::-1], variant) == expected[::-1]
+    for variant in minden.VARIANT_FLAGS:
+        assert sums.denominator_sums([], variant) == []
+
+
+def test_denominator_sums_descend_once_per_chain(monkeypatch):
+    descended = []
+    descend = minden._descend_block
+
+    def counted(n, j, a_open, b_open):
+        descended.append(n)
+        return descend(n, j, a_open, b_open)
+
+    monkeypatch.setattr(minden, "_descend_block", counted)
+    sums.denominator_sums([2**k for k in range(21)])
+    assert descended == [2**20] * (2**19 // minden.CHUNK)
+    descended.clear()
+    sums.denominator_sums([100, 49, 6, 50, 1])  # only 50 divides the next larger row
+    assert sorted(set(descended)) == [6, 49, 100]
+    # a row n is coarsened only from an m <= n^2: m / n strided views at most n
+    descended.clear()
+    sums.denominator_sums([10**4, 100, 10])
+    assert set(descended) == {10**4}
+    descended.clear()
+    sums.denominator_sums([10**4, 10])
+    assert sorted(set(descended)) == [10, 10**4]
+
+
+def test_denominator_sums_check_every_n_before_any_descent(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(minden, "_descend_block", reached)
+    with pytest.raises(Reached):
+        sums.denominator_sums([64, 8, minden.GRID_MAX_N])
+    for bad, error in ((0, ValueError), (-3, ValueError), (minden.GRID_MAX_N + 1, OverflowError)):
+        for ns in ([bad, 64, 8], [64, bad, 8], [64, 8, bad]):
+            with pytest.raises(error):
+                sums.denominator_sums(ns, "closed")
+
+
+def test_denominator_sums_memory_is_bounded():
+    # the top row of the chain streams its descent into one int32 half grid of
+    # 2**19 entries; each smaller row is coarsened from the one above it
+    ns = [2**k for k in range(21)]
+    expected = [sums.denominator_sum(n) for n in ns]
+    tracemalloc.start()
+    try:
+        got = sums.denominator_sums(ns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert expected[-1] == 1740040811  # the N = 2**20 row of perfbench/golden_sweep.csv
+    assert peak <= 2**19 * 4 + 32 * minden.CHUNK * 8
+
+
 def test_int64_size_limits(monkeypatch):
     int64_max = 2**63 - 1
     assert sums.PAIRS_MAX_N**2 <= int64_max < (sums.PAIRS_MAX_N + 1) ** 2

@@ -207,7 +207,10 @@ def test_check_variants_reads_the_grid_not_the_reflection(monkeypatch):
     # "reflected sum" for all four variants at every n >= 2 (n = 1 has only
     # its middle window), while the checks on the per-window grid sums alone
     # pass; "lower gap" compares denominator_sum(n) - denominator_sum(n,
-    # "closed"), a reflected difference, with them and is left out here
+    # "closed"), a reflected difference, with them and is left out here.
+    # "chained sum" descends 10 and 2 and fails there; it coarsens 5 from
+    # the first four windows of 10, which the patch keeps, and 1 has no
+    # window left of its middle
     half = minden.half_grid_blocks
     monkeypatch.setattr(
         sums, "half_grid_blocks", lambda n, v: (block[:-1] for block in half(n, v))
@@ -215,6 +218,9 @@ def test_check_variants_reads_the_grid_not_the_reflection(monkeypatch):
     res = verify.check_variants(max_n=10)
     assert res.checks["reflected sum"] == verify.Tally(
         4, 36, "denominator_sum(2, 'half-open-right') = -3 != grid sum 3"
+    )
+    assert res.checks["chained sum"] == verify.Tally(
+        8, 8, "denominator_sums(divisors of 10, 'half-open-right') gives S(2) = -3 != grid sum 3"
     )
     for name in ("mirrored sum", "variant order", "open gap", "gap <= n tau(n)"):
         assert res.checks[name] == verify.Tally(10, 0, None)
