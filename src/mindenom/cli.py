@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import sums, verify
-from .minden import GRID_MAX_N, VARIANT_FLAGS
+from .minden import VARIANT_FLAGS, check_grid_size
 
 DEFAULT_BUDGET = 2000
 DEFAULT_VARIANT = "half-open-right"
@@ -97,16 +97,15 @@ def sweep_rows(
     sums.denominator_sums call over the grid: with an integer --factor
     each row from the factor up divides the next larger one and is
     coarsened from its half grid, and the other rows (--step, a fractional
-    --factor, rows below the factor) descend one by one.  Raises
-    OverflowError before any work when stop > minden.GRID_MAX_N.
+    --factor, rows below the factor) descend one by one.  Raises ValueError
+    for a bad range or step < 1, and OverflowError when stop >
+    minden.GRID_MAX_N, before any work.
     """
     if start < 1 or stop < start:
         raise ValueError(f"need 1 <= start <= stop, got {start}..{stop}")
-    if stop > GRID_MAX_N:
-        raise OverflowError(
-            f"sweep end {stop} exceeds GRID_MAX_N = {GRID_MAX_N}, "
-            "the int64 limit of the grid solver"
-        )
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
+    check_grid_size(stop)
     grid = list(_grid(start, stop, step, factor))
     exact_ns = [n for n in grid if n <= budget]
     # the exact series up to the last exact row, and every float integral of

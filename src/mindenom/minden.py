@@ -97,8 +97,9 @@ VARIANT_FLAGS: dict[str, tuple[bool, bool]] = {
 #: alike and about 1.5x faster than 2**15 (2-vCPU Xeon VM, numpy 2.4).
 CHUNK = 1 << 14
 
-#: Largest grid size of the grid solver: 2n*CHUNK <= 2**63 - 1 (2**48 - 1).
-GRID_MAX_N = (2**63 - 1) // (2 * CHUNK)
+INT64_MAX = 2**63 - 1
+#: Largest grid size of the grid solver: 2n*CHUNK <= INT64_MAX (2**48 - 1).
+GRID_MAX_N = INT64_MAX // (2 * CHUNK)
 
 #: The grid descent holds its state in int32 while 2n <= INT32_MAX.
 INT32_MAX = 2**31 - 1
@@ -233,8 +234,7 @@ def min_denominator_grid(n: int, j: int, variant: Variant = "half-open-right") -
     The window is ](j-1)/n, j/n] for the default variant; the other variants
     reuse the same endpoints with the flags from VARIANT_FLAGS.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
+    check_grid_size(n, math.inf)  # Python ints: no int64 limit
     if not 1 <= j <= n:
         raise ValueError(f"window index must be in 1..{n}, got {j}")
     lo_closed, hi_closed = VARIANT_FLAGS[variant]
@@ -260,14 +260,15 @@ def half_grid_blocks(n: int, variant: Variant = "half-open-right") -> Iterator[n
     return _blocks(n, n // 2, variant)
 
 
-def check_grid_size(n: int) -> None:
-    """ValueError for n < 1 and OverflowError for n > GRID_MAX_N, the grid solver's limits."""
+def check_grid_size(
+    n: int, limit: float = GRID_MAX_N, name: str = "GRID_MAX_N", what: str = "the grid solver"
+) -> None:
+    """ValueError for n < 1 and OverflowError for n > limit, the int64 limit name of what."""
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    if n > GRID_MAX_N:
+    if n > limit:
         raise OverflowError(
-            f"grid size {n} exceeds GRID_MAX_N = {GRID_MAX_N}, "
-            "the int64 limit of the grid solver"
+            f"grid size {n} exceeds {name} = {limit}, the int64 limit of {what}"
         )
 
 

@@ -99,8 +99,9 @@ row of denominator_sums coarsens from it: one preallocated array of n // 2
 entries, int32 when 2n <= INT32_MAX as in the descent (2 bytes per window
 of the grid) and int64 above, filled block by block and summed in int64.
 A single n never holds one and streams in O(CHUNK) memory.
-PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits;
-larger n raise OverflowError up front, before any window is solved.
+PAIRS_MAX_N (pair sums) and PER_K_MAX_N (per_k_tables) are the int64 limits,
+beside minden.GRID_MAX_N; minden.check_grid_size checks each of them, and
+n >= 1, up front, before any window is solved or any block is built.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ import numpy as np
 from .farey import coprime_blocks, unit_inverses
 from .minden import (
     CHUNK,
+    INT64_MAX,
     VARIANT_FLAGS,
     Variant,
     check_grid_size,
@@ -124,7 +126,6 @@ from .minden import (
 
 SIXTEEN_OVER_PI2 = 16 / math.pi**2
 
-INT64_MAX = 2**63 - 1
 #: Largest n for the pair sums: the b1 numerators n*u over _pairs reach n*s <= n^2.
 PAIRS_MAX_N = math.isqrt(INT64_MAX)
 #: Largest n for per_k_tables: its bucket keys reach (3n + 5)(2n + 1) + 2n
@@ -157,10 +158,8 @@ def denominator_sums(ns: Sequence[int], variant: Variant = "half-open-right") ->
 
     Every variant starts from S_open(n) (_open_sums, which coarsens a row n
     from the half grid of the next larger row m when n divides m and
-    m / n <= n).  Both
-    half-open sums are S_open(n) - G(n) and the closed sum is
-    S_open(n) - 2 G(n) + c(n), with (G, c) from _gaps (see the module
-    docstring).  Raises ValueError for an n < 1 and OverflowError for an
+    m / n <= n), and _variant_sums turns it into the half-open and the
+    closed sums.  Raises ValueError for an n < 1 and OverflowError for an
     n > minden.GRID_MAX_N anywhere in ns before any window is solved.
     """
     ns = list(ns)
@@ -170,9 +169,15 @@ def denominator_sums(ns: Sequence[int], variant: Variant = "half-open-right") ->
     totals = _open_sums(ns)
     if lo_closed or hi_closed:
         for n, s_open in totals.items():
-            gap, corner = _gaps(n)
-            totals[n] = s_open - (2 * gap - corner if lo_closed and hi_closed else gap)
+            s, s_closed = _variant_sums(n, s_open)
+            totals[n] = s_closed if lo_closed and hi_closed else s
     return [totals[n] for n in ns]
+
+
+def _variant_sums(n: int, s_open: int) -> tuple[int, int]:
+    """(S, S_closed) of n from S_open(n) and (G, c) = _gaps(n), as the module docstring proves."""
+    gap, corner = _gaps(n)
+    return s_open - gap, s_open - 2 * gap + corner
 
 
 def _open_sums(ns: Sequence[int]) -> dict[int, int]:
@@ -231,20 +236,10 @@ def _coarsen(m: int, fine: np.ndarray, n: int) -> np.ndarray:
     return coarse
 
 
-def _check_size(n: int, limit: int, what: str) -> None:
-    """ValueError for n < 1, OverflowError for n > limit, the int64 limit of what."""
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    if n > limit:
-        raise OverflowError(
-            f"grid size {n} exceeds {limit}, the int64 limit of {what}"
-        )
-
-
 def _check_report_size(n: int) -> None:
     """The limits of an exact report of n, before any window is solved: the grid's, then the pairs'."""
     check_grid_size(n)
-    _check_size(n, PAIRS_MAX_N, "the pair sums")
+    check_grid_size(n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
 
 
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -260,7 +255,7 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     numerators n x and n y reach n s.  Raises ValueError for n < 1 and
     OverflowError for n > PAIRS_MAX_N.
     """
-    _check_size(n, PAIRS_MAX_N, "the pair sums")
+    check_grid_size(n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
     blocks = [big for _, big in coprime_blocks(n)]
     root = len(blocks)
     r = np.repeat(np.arange(1, root + 1, dtype=np.int64), [big.size for big in blocks])
@@ -423,7 +418,7 @@ def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]
     starts and leaves it where the range ends.  Raises OverflowError for
     n > PER_K_MAX_N.
     """
-    _check_size(n, PER_K_MAX_N, "per_k_tables")
+    check_grid_size(n, PER_K_MAX_N, "PER_K_MAX_N", "per_k_tables")
     # every ordered pair: (1, 1), the pairs r < s and their mirrors, with
     # u = inv(r, s) and v = inv(s, r)
     one = np.ones(1, dtype=np.int64)
@@ -457,7 +452,7 @@ def per_k_tables(n: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]
 
 def _min_sums(n: int) -> np.ndarray:
     """c[m] = sum of min(r, s) over the coprime pairs with r s = m, m = 0..n; no inverses."""
-    _check_size(n, PAIRS_MAX_N, "the pair sums")
+    check_grid_size(n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
     c = np.zeros(n + 1, dtype=np.int64)
     c[1] = 1  # the pair (1, 1)
     for a, big in coprime_blocks(n):
@@ -507,11 +502,11 @@ def window_integral_floats(ns: Sequence[int]) -> list[float]:
     every total is bit for bit what a pass over the blocks of n alone gives.
     Each block is dropped before the next is built: the peak is the a = 1
     block of max(ns), 8 bytes each for the int64 L and for its reciprocals.
+    Every n is checked against minden.GRID_MAX_N before any block is built.
     """
     ns = list(ns)
     for n in ns:
-        if n < 1:
-            raise ValueError(f"grid size must be >= 1, got {n}")
+        check_grid_size(n)
     totals = [2.0 - 1.0 / n for n in ns]  # k = 0 term plus the (1, 1) pair
     for a, big in coprime_blocks(max(ns, default=0)):
         recip = big.astype(np.float64)
@@ -648,8 +643,7 @@ def _gaps(n: int) -> tuple[int, int]:
     min(u, n / u) over the 2^omega(n) unitary divisors u of n, which take
     each prime power p^e of n whole or not at all.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
+    check_grid_size(n, math.inf)  # Python ints: no int64 limit
     factors = _factorize(n)
     unitary = [1]
     for p, e in factors:
@@ -723,16 +717,14 @@ def sum_report(n: int) -> SumReport:
     The half-open-left sum is S itself: the reflection t -> 1 - t maps the
     windows of one variant onto those of the other (verify.check_variants
     still computes it from the per-window grid).  One descent of the open
-    half grid gives S_open, and one factorisation of n gives G and c, so
-    S = S_open - G and S_closed = S - G + c as in denominator_sum.  W and the
-    four sawtooth parts come from one _pairs pass (_pair_rows) and one
-    _dense_sums call over its five rows.  Both int64 limits are checked
-    before the descent.
+    half grid gives S_open, and _variant_sums S and S_closed, as in
+    denominator_sums.  W and the four sawtooth parts come from one _pairs
+    pass (_pair_rows) and one _dense_sums call over its five rows.  Both
+    int64 limits are checked before the descent.
     """
     _check_report_size(n)
     s_open = _open_sums([n])[n]
-    gap, corner = _gaps(n)
-    s = s_open - gap
+    s, s_closed = _variant_sums(n, s_open)
     acc = _pair_rows(n)
     p, *rows = _dense_sums(acc)
     integral = _integral(n, p, int(acc[0].sum()) // 2)
@@ -745,7 +737,7 @@ def sum_report(n: int) -> SumReport:
     return SumReport(
         n=n,
         s=s,
-        s_closed=s - gap + corner,
+        s_closed=s_closed,
         s_half_open_left=s,
         s_open=s_open,
         integral=integral,

@@ -146,6 +146,10 @@ def test_sweep_rows_api():
     assert all(row.integral > 0 for row in big)
     with pytest.raises(ValueError):
         cli.sweep_rows(5, 2)
+    # a step below 1 would never reach stop
+    for step in (0, -1):
+        with pytest.raises(ValueError, match="step"):
+            cli.sweep_rows(1, 10, step=step)
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):

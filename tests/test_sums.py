@@ -1,14 +1,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindenom import expsums, farey, minden, sums
+from mindenom import cli, expsums, farey, minden, sums
 
 import oracles
 
@@ -37,14 +37,6 @@ def test_reflected_sums_match_grid():
     for n in ns:
         for variant in minden.VARIANT_FLAGS:
             assert sums.denominator_sum(n, variant) == _grid_sum(n, variant), (n, variant)
-
-
-def test_reflected_sums_refuse_oversized_grids():
-    for variant in minden.VARIANT_FLAGS:
-        with pytest.raises(OverflowError):
-            sums.denominator_sum(minden.GRID_MAX_N + 1, variant)
-        with pytest.raises(ValueError):
-            sums.denominator_sum(0, variant)
 
 
 def test_denominator_sum_matches_brute_grid():
@@ -152,16 +144,35 @@ def test_denominator_sums_memory_is_bounded():
     assert peak <= 2**19 * 4 + 32 * minden.CHUNK * 8
 
 
+#: The entry points of a grid size n, by the limit (name, value) that
+#: minden.check_grid_size holds them to; the Python-int paths have none.
+ENTRY_POINTS = {
+    ("GRID_MAX_N", minden.GRID_MAX_N): [
+        *(partial(sums.denominator_sum, variant=v) for v in minden.VARIANT_FLAGS),
+        lambda n: sums.denominator_sums([8, n]),
+        lambda n: sums.window_integral_floats([8, n]),
+        minden.grid_blocks,
+        minden.half_grid_blocks,
+        minden.grid_denominators,
+        sums.sum_report,  # the grid limit is checked before the pair limit
+        sums.remainder,
+        lambda n: cli.sweep_rows(1, n),
+    ],
+    ("PAIRS_MAX_N", sums.PAIRS_MAX_N): [
+        sums.window_integral, sums.window_integral_series, sums.remainder_parts,
+        sums.t11_leftover_sum, sums.t2_quotient_groups, sums._pairs,
+    ],
+    ("PER_K_MAX_N", sums.PER_K_MAX_N): [sums.per_k_tables],
+    (None, None): [sums.variant_gap, lambda n: minden.min_denominator_grid(n, 1)],
+}
+
+
 def test_int64_size_limits(monkeypatch):
     int64_max = 2**63 - 1
+    assert sums.INT64_MAX == minden.INT64_MAX == int64_max
     assert sums.PAIRS_MAX_N**2 <= int64_max < (sums.PAIRS_MAX_N + 1) ** 2
     keys = lambda n: (3 * n + 5) * (2 * n + 1) + 2 * n  # per_k_tables bucket keys
     assert keys(sums.PER_K_MAX_N) <= int64_max < keys(sums.PER_K_MAX_N + 1)
-    with pytest.raises(OverflowError):
-        sums.denominator_sum(minden.GRID_MAX_N + 1)
-    for over in (sums.window_integral, sums.remainder_parts):
-        with pytest.raises(OverflowError):
-            over(sums.PAIRS_MAX_N + 1)
 
     class Reached(Exception):
         pass
@@ -169,26 +180,25 @@ def test_int64_size_limits(monkeypatch):
     def reached(*args):
         raise Reached
 
-    # at its limit each guard lets the call through to its first allocation,
-    # stubbed out here; one above, it raises before anything is built
+    # the first allocation of the pair and float sums and the grid descent are
+    # stubbed out: one above its limit each entry point raises before them,
+    # naming the limit, and at its limit each guard lets the call through
     monkeypatch.setattr(sums, "coprime_blocks", reached)
-    with pytest.raises(Reached):
-        sums._pairs(sums.PAIRS_MAX_N)
-    with pytest.raises(OverflowError):
-        sums._pairs(sums.PAIRS_MAX_N + 1)
-    monkeypatch.setattr(sums, "_pairs", reached)
-    with pytest.raises(Reached):
-        sums.per_k_tables(sums.PER_K_MAX_N)
-    with pytest.raises(OverflowError):
-        sums.per_k_tables(sums.PER_K_MAX_N + 1)
-    # the exact report and R check the pair limit before the grid descent,
-    # which would run for hours at this n
     monkeypatch.setattr(minden, "_descend_block", reached)
-    for over in (sums.sum_report, sums.remainder):
+    for (name, limit), calls in ENTRY_POINTS.items():
+        if name is None:
+            continue
+        message = f"^grid size {limit + 1} exceeds {name} = {limit}, the int64 limit of "
+        for call in calls:
+            with pytest.raises(OverflowError, match=message):
+                call(limit + 1)
+    # at the pair limit the exact report and R get through to the grid descent
+    grid, pairs = minden.GRID_MAX_N, sums.PAIRS_MAX_N
+    for call, n in [(sums.denominator_sum, grid), (sums.window_integral_floats, [grid]),
+                    (sums._pairs, pairs), (sums.per_k_tables, sums.PER_K_MAX_N),
+                    (sums.sum_report, pairs), (sums.remainder, pairs)]:
         with pytest.raises(Reached):
-            over(sums.PAIRS_MAX_N)
-        with pytest.raises(OverflowError):
-            over(sums.PAIRS_MAX_N + 1)
+            call(n)
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +327,6 @@ def test_window_integral_floats_bit_identical(ns):
 
 def test_window_integral_floats_edges():
     assert sums.window_integral_floats([]) == []
-    with pytest.raises(ValueError):
-        sums.window_integral_floats([5, 0])
 
 
 def test_window_integral_floats_memory_is_bounded():
@@ -635,6 +643,10 @@ def test_chen_haynes_residual():
 
 
 def test_sum_report_consistency():
+    # sum_report's four variant sums (s, s_closed, s_half_open_left, s_open)
+    variants = ("half-open-right", "closed", "half-open-left", "open")
+    for n in [*range(1, 201), 2000]:
+        assert sums.sum_report(n)[1:5] == tuple(sums.denominator_sum(n, v) for v in variants), n
     rep = sums.sum_report(4)
     assert rep.s == 10
     assert rep.integral == Fraction(29, 12)
@@ -654,12 +666,9 @@ def test_sum_report_consistency():
 
 
 def test_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        sums.denominator_sum(0)
-    with pytest.raises(ValueError):
-        sums.remainder(0)
-    with pytest.raises(ValueError):
-        sums.per_k_tables(0)
+    for call in sum(ENTRY_POINTS.values(), []):
+        with pytest.raises(ValueError):
+            call(0)
 
 
 @settings(max_examples=30, deadline=None)
