@@ -47,15 +47,11 @@ from .minden import (
     min_fraction,
 )
 from .sums import (
-    RemainderParts,
     SumReport,
     denominator_sum,
     denominator_sums,
-    remainder,
-    remainder_parts,
     sum_report,
     variant_gap,
-    window_integral,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +60,6 @@ __all__ = [
     "AdjacentPair",
     "Interval",
     "PeriodicFunction",
-    "RemainderParts",
     "SumReport",
     "adjacent_pairs",
     "b1",
@@ -85,8 +80,6 @@ __all__ = [
     "min_fraction",
     "next_denominator",
     "ramanujan",
-    "remainder",
-    "remainder_parts",
     "sum_report",
     "totient_summatory",
     "twisted_b1_bound",
@@ -95,5 +88,4 @@ __all__ = [
     "weighted_b1_bound",
     "weighted_b1_sum",
     "weil_bound",
-    "window_integral",
 ]

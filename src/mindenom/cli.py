@@ -98,13 +98,15 @@ def sweep_rows(
     each row from the factor up divides the next larger one and is
     coarsened from its half grid, and the other rows (--step, a fractional
     --factor, rows below the factor) descend one by one.  Raises ValueError
-    for a bad range or step < 1, and OverflowError when stop >
-    minden.GRID_MAX_N, before any work.
+    for a bad range, step < 1 or a factor outside ]1, inf[, and
+    OverflowError when stop > minden.GRID_MAX_N, before any work.
     """
     if start < 1 or stop < start:
         raise ValueError(f"need 1 <= start <= stop, got {start}..{stop}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
+    if factor is not None and not 1 < factor < math.inf:
+        raise ValueError(f"factor must be finite and > 1, got {factor}")
     check_grid_size(stop)
     grid = list(_grid(start, stop, step, factor))
     exact_ns = [n for n in grid if n <= budget]
@@ -143,15 +145,10 @@ def _invalid(message: str) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        return _invalid(f"--n must be >= 1, got {args.n}")
     if args.budget < 1:
         return _invalid(f"--budget must be >= 1, got {args.budget}")
     if args.s_only:
-        try:
-            s = sums.denominator_sum(args.n, args.variant)
-        except OverflowError as exc:
-            return _invalid(str(exc))
+        s = sums.denominator_sum(args.n, args.variant)
         print(f"N={args.n}")
         print(f"S={s}")
         print(f"ratio={_fmt(s / args.n**1.5)}")
@@ -168,10 +165,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "the full report describes the half-open-right grid and already "
             "includes every variant sum; combine --variant with --s-only"
         )
-    try:
-        report = sums.sum_report(args.n)
-    except OverflowError as exc:
-        return _invalid(str(exc))
+    report = sums.sum_report(args.n)
     for key, attr in _REPORT_KEYS:
         value = getattr(report, attr)
         if value is None:
@@ -181,20 +175,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.start < 1 or args.stop < args.start:
-        return _invalid(f"need 1 <= --from <= --to, got {args.start}..{args.stop}")
-    if args.factor is not None and not (1 < args.factor < math.inf):
-        return _invalid(f"--factor must be finite and > 1, got {args.factor}")
-    if args.step < 1:
-        return _invalid(f"--step must be >= 1, got {args.step}")
     if args.budget < 1:
         return _invalid(f"--budget must be >= 1, got {args.budget}")
-    try:
-        rows = sweep_rows(
-            args.start, args.stop, args.step, args.factor, args.variant, args.budget
-        )
-    except OverflowError as exc:
-        return _invalid(str(exc))
+    rows = sweep_rows(args.start, args.stop, args.step, args.factor, args.variant, args.budget)
     if args.out is None:
         write_sweep_csv(rows, sys.stdout)
         return 0
@@ -208,8 +191,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n is not None and args.max_n < 1:
-        return _invalid(f"--max-n must be >= 1, got {args.max_n}")
     results = verify.run(args.suite, args.max_n)
     failed = False
     for res in results:
@@ -294,8 +275,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a ValueError or OverflowError it raises on bad input exits 2."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OverflowError) as exc:
+        return _invalid(str(exc))
 
 
 if __name__ == "__main__":

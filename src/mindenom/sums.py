@@ -9,15 +9,19 @@ over coprime pairs with r s <= n, which integer arithmetic evaluates exactly.
 
 The quantities provided, all exact rationals unless stated otherwise:
 
+* sum_report(n): every exact number of one grid size, from one descent and
+  one pass over the pairs: the four variant sums, the window integral W(n)
+  (the integral over ]0, 1] of the window minimal denominator, which grows
+  like (16/pi^2) sqrt(n)), the remainder R = S(n) - n W(n), the discrepancy
+  between the sum and its integral smoothing, and its sawtooth parts.
+  Identity: R = -2 T where T is a sum of sawtooth values at Farey points,
+  split as T = T1 + T2 and T1 = T11 + T12.
+* window_integral_series(max_n): W(n) exactly for every n <= max_n, and
+  window_integral_floats(ns) its float approximations for large n.
 * per_k_tables(n): for every order k = 0..n the measure nu_k of the windows
   that clear order k, the fractional jump xi_k and the sawtooth term sigma_k;
-  n nu_k + xi_k is the number of windows with q_j > k, and xi_k = -2 sigma_k.
-* window_integral(n): integral over ]0, 1] of the window minimal denominator,
-  equal to the sum of nu_k over k = 0..n.  It grows like (16/pi^2) sqrt(n).
-* remainder(n): R = S(n) - n * window_integral(n), the discrepancy between
-  the sum and its integral smoothing.  Identity: R = -2 T where T is a sum of
-  sawtooth values at Farey points, split as T = T1 + T2 and T1 = T11 + T12 by
-  remainder_parts.
+  n nu_k + xi_k is the number of windows with q_j > k, xi_k = -2 sigma_k,
+  and W(n) is the sum of nu_k over k = 0..n.
 * denominator_sum(n, variant): S(n) for any of the four boundary variants,
   and denominator_sums(ns, variant) for many n, one descent per divisor chain.
 * variant_gap(n): how much S grows when the grid windows are all-open
@@ -74,14 +78,15 @@ divides the next larger row m with k <= n (so k <= sqrt(m) strided views)
 is coarsened from that row's half grid, any other row descends.
 
 Every pair sum takes its pairs from the block kernel farey.coprime_blocks.
-window_integral reads the blocks alone, for W(n) = 1 + P - Q/n (P and Q sum
-1/max(r, s) and min(r, s), per product r s in _min_sums); the sawtooth sums
-per_k_tables, remainder_parts, t11_leftover_sum and t2_quotient_groups read
-_pairs, the pairs r < s with the inverses of both orientations, and
-sum_report takes P with T1, T11, T12 and T2 from one _pairs pass
-(_pair_rows).  A pair (r, s) gives the T1, T11 and T12 terms over 2 s and
-its mirror (s, r) the T2 term over 2 r, so no row masks out half of an
-ordered-pair array.  The orders at which a pair sees a
+W(n) = 1 + P - Q/n, where P and Q sum 1/max(r, s) and min(r, s) over the
+pairs.  The W routes over many n read the blocks alone
+(window_integral_series per product r s in _min_sums, window_integral_floats
+per block); the sawtooth sums per_k_tables, t11_leftover_sum and
+t2_quotient_groups read _pairs, the pairs r < s with the inverses of both
+orientations, and sum_report takes P with T1, T11, T12 and T2 from one
+_pairs pass (_pair_rows).  A pair (r, s) gives the T1, T11 and T12 terms
+over 2 s and its mirror (s, r) the T2 term over 2 r, so no row masks out
+half of an ordered-pair array.  The orders at which a pair sees a
 following gap below 1/n form one suffix of its adjacency range, found in
 closed form by _first_hit.  Exact sums over the denominators 2 d, d <= n
 (_dense_sums: W and the sawtooth parts) add each int64
@@ -131,16 +136,6 @@ PAIRS_MAX_N = math.isqrt(INT64_MAX)
 #: Largest n for per_k_tables: its bucket keys reach (3n + 5)(2n + 1) + 2n
 #: = 6n^2 + 15n + 5, so (12n + 15)^2 <= 24 INT64_MAX + 105.
 PER_K_MAX_N = (math.isqrt(24 * INT64_MAX + 105) - 15) // 12
-
-
-class RemainderParts(NamedTuple):
-    """The sawtooth decomposition of T = -remainder/2 into T1 + T2 and T1 = T11 + T12."""
-
-    t: Fraction
-    t1: Fraction
-    t11: Fraction
-    t12: Fraction
-    t2: Fraction
 
 
 def denominator_sum(n: int, variant: Variant = "half-open-right") -> int:
@@ -234,12 +229,6 @@ def _coarsen(m: int, fine: np.ndarray, n: int) -> np.ndarray:
             at = x[x % k != 0] // k
             coarse[at] = np.minimum(coarse[at], m // g)
     return coarse
-
-
-def _check_report_size(n: int) -> None:
-    """The limits of an exact report of n, before any window is solved: the grid's, then the pairs'."""
-    check_grid_size(n)
-    check_grid_size(n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
 
 
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -342,9 +331,8 @@ def _dense_sums(acc: np.ndarray) -> list[Fraction]:
     _pairwise_sums finishes in Python ints.
 
     int64 bound of the accumulation, for the rows of _pair_rows(n) with
-    D = n (window_integral's 2 c is alike).  A T row adds, at d = s,
-    w (2 e - s) for the pairs (r, s) with r s <= n, where |2 e - s| < s and
-    the weight w <= min(r, s); so
+    D = n.  A T row adds, at d = s, w (2 e - s) for the pairs (r, s) with
+    r s <= n, where |2 e - s| < s and the weight w <= min(r, s); so
     |acc[i, s]| < s (M (M + 1) / 2), M = n // s, which is at most n^2 / s.
     Row 0 holds 2 c_m at d = m, where c_m sums min(r, s) <= sqrt(m) over the
     at most tau(m) <= 2 sqrt(m) pairs with r s = m, so 0 <= acc[0, m] <= 4 m.
@@ -460,26 +448,16 @@ def _min_sums(n: int) -> np.ndarray:
     return c
 
 
-def window_integral(n: int) -> Fraction:
-    """Integral of q(]t - 1/n, t]) over t in ]0, 1], exactly: sum of nu_k over k.
-
-    Summing min(r, s) (1/(r s) - 1/n) over the pairs gives W = 1 + P - Q/n
-    with P = sum min(r, s)/(r s) = sum 1/max(r, s) and Q = sum min(r, s).
-    """
-    c = _min_sums(n)
-    return _integral(n, _dense_sums(2 * c[None])[0], int(c.sum()))
-
-
 def _integral(n: int, p: Fraction, q: int) -> Fraction:
     """W = 1 + P - Q/n from P = sum of min(r, s)/(r s) and Q = sum of min(r, s) over the pairs."""
     return 1 + p - Fraction(q, n)
 
 
 def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
-    """window_integral(n) for every n = 1..max_n in one incremental pass (index 0 is None).
+    """W(n) exactly for every n = 1..max_n in one incremental pass (index 0 is None).
 
-    W(n) = 1 + P(n) - Q(n)/n as in window_integral; step n adds the pairs
-    with r s = n, whose min(r, s) sum to c[n], as c[n]/n to P and c[n] to Q.
+    W(n) = 1 + P(n) - Q(n)/n as in the module docstring; step n adds the
+    pairs with r s = n, whose min(r, s) sum to c[n], as c[n]/n to P and c[n] to Q.
     """
     out: list[Optional[Fraction]] = [None]
     p_acc, q_acc = Fraction(0), 0
@@ -491,7 +469,7 @@ def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
 
 
 def window_integral_floats(ns: Sequence[int]) -> list[float]:
-    """Float approximations of window_integral(n) for each n of ns, in order, from one block pass.
+    """Float approximations of W(n) for each n of ns, in order, from one block pass.
 
     The same W = 1 + P - Q/n, summed block by block in the order a = 1, 2, ...:
     each block of n adds 2 (sum 1/L - a |block| / n) for its pairs (a, L) and
@@ -517,29 +495,6 @@ def window_integral_floats(ns: Sequence[int]) -> list[float]:
                 totals[i] += 2.0 * (float(recip[:m].sum()) - a * m / n)
         del big, recip
     return totals
-
-
-def remainder(n: int) -> Fraction:
-    """R(n) = S(n) - n * window_integral(n), the exact discrepancy term."""
-    _check_report_size(n)
-    return denominator_sum(n) - n * window_integral(n)
-
-
-def remainder_parts(n: int) -> RemainderParts:
-    """The decomposition T = T1 + T2, T1 = T11 + T12 with T = -remainder(n)/2.
-
-    All four parts are sums of b1(n * inv(r, s) / s) over coprime pairs with
-    r s <= n, weighted by how many orders k the pair stays adjacent while the
-    following gap is already below 1/n.  The four weighted rows share the
-    denominators 2 s, so one _dense_sums call adds them over one merge tree
-    (row 0 of _pair_rows, W's, is left out of it).
-    """
-    return _parts(*_dense_sums(_pair_rows(n)[1:]))
-
-
-def _parts(t1: Fraction, t11: Fraction, t12: Fraction, t2: Fraction) -> RemainderParts:
-    """The RemainderParts of the four sums, with T = T1 + T2."""
-    return RemainderParts(t1 + t2, t1, t11, t12, t2)
 
 
 def _pair_rows(n: int) -> np.ndarray:
@@ -610,7 +565,7 @@ def t2_quotient_groups(n: int) -> dict[int, Fraction]:
 
     A pair with r > s can hit (s t > n, t = j s - r) only at j = ceil(2r / s),
     for 2r - (j - 1) s orders k; at smaller j, t <= r.  The subtotals sum to
-    remainder_parts(n).t2; j = 2 comes first, an explicit zero (it would need
+    sum_report(n).t2; j = 2 comes first, an explicit zero (it would need
     s < r <= s), then every j with a nonzero subtotal in increasing order.
     With r > s, 2s < 2 sqrt(n) and j <= 2n, so the int64 bucket keys stay
     below (2n + 1)(2 sqrt(n) + 1) < 2^50 for n <= PAIRS_MAX_N.
@@ -718,18 +673,21 @@ def sum_report(n: int) -> SumReport:
     windows of one variant onto those of the other (verify.check_variants
     still computes it from the per-window grid).  One descent of the open
     half grid gives S_open, and _variant_sums S and S_closed, as in
-    denominator_sums.  W and the four sawtooth parts come from one _pairs
-    pass (_pair_rows) and one _dense_sums call over its five rows.  Both
-    int64 limits are checked before the descent.
+    denominator_sums.  The sawtooth parts T1, T11, T12 and T2 are sums of
+    b1(n inv(r, s) / s) over the coprime pairs with r s <= n, weighted by
+    how many orders k the pair stays adjacent while the following gap is
+    already below 1/n, and T = T1 + T2.  W and the four parts come from one
+    _pairs pass (_pair_rows) and one _dense_sums call over its five rows.
+    Both int64 limits are checked before the descent, the grid's first.
     """
-    _check_report_size(n)
+    check_grid_size(n)
+    check_grid_size(n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
     s_open = _open_sums([n])[n]
     s, s_closed = _variant_sums(n, s_open)
     acc = _pair_rows(n)
-    p, *rows = _dense_sums(acc)
+    p, t1, t11, t12, t2 = _dense_sums(acc)
     integral = _integral(n, p, int(acc[0].sum()) // 2)
     r = s - n * integral
-    parts = _parts(*rows)
     if n == 1:
         r_over_bound = None
     else:
@@ -742,11 +700,11 @@ def sum_report(n: int) -> SumReport:
         s_open=s_open,
         integral=integral,
         r=r,
-        t=parts.t,
-        t1=parts.t1,
-        t11=parts.t11,
-        t12=parts.t12,
-        t2=parts.t2,
+        t=t1 + t2,
+        t1=t1,
+        t11=t11,
+        t12=t12,
+        t2=t2,
         ratio=s / n**1.5,
         chen_haynes_residual=chen_haynes_residual(n, float(integral)),
         r_over_bound=r_over_bound,

@@ -260,9 +260,11 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
         s = sum(qs)
         nu, xi, sigma = sums.per_k_tables(n)
         integral = sum(nu, Fraction(0))
+        rep = sums.sum_report(n)
         res.check(
-            "integral routes", integral == series[n],
-            lambda: f"integral mismatch at n={n}: per-k {integral} vs incremental {series[n]}",
+            "integral routes", integral == series[n] == rep.integral,
+            lambda: f"integral mismatch at n={n}: per-k {integral} vs incremental {series[n]}"
+            f" vs sum_report {rep.integral}",
         )
         r_def = s - n * integral
         r_counts = sum(xi[1:], Fraction(0))
@@ -270,17 +272,16 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
             "R routes", r_def == r_counts,
             lambda: f"R routes disagree at n={n}: {r_def} vs {r_counts}",
         )
-        parts = sums.remainder_parts(n)
         res.check(
-            "R = -2T", r_def == -2 * parts.t, lambda: f"R != -2T at n={n}: {r_def} vs {parts.t}"
+            "R = -2T", r_def == -2 * rep.t, lambda: f"R != -2T at n={n}: {r_def} vs {rep.t}"
         )
-        res.check("T = T1 + T2", parts.t == parts.t1 + parts.t2, lambda: f"T != T1+T2 at n={n}")
+        res.check("T = T1 + T2", rep.t == rep.t1 + rep.t2, lambda: f"T != T1+T2 at n={n}")
         res.check(
-            "T1 = T11 + T12", parts.t1 == parts.t11 + parts.t12,
+            "T1 = T11 + T12", rep.t1 == rep.t11 + rep.t12,
             lambda: f"T1 != T11+T12 at n={n}",
         )
         res.check(
-            "sawtooth by order", sum(sigma[1:], Fraction(0)) == parts.t,
+            "sawtooth by order", sum(sigma[1:], Fraction(0)) == rep.t,
             lambda: f"sawtooth-by-order total != T at n={n}",
         )
         res.check(
@@ -289,7 +290,7 @@ def check_identities(max_n: int = 300, theta_max_n: int = 100) -> SuiteResult:
         )
         groups = sums.t2_quotient_groups(n)
         res.check(
-            "T2 groups", groups[2] == 0 and sum(groups.values(), Fraction(0)) == parts.t2,
+            "T2 groups", groups[2] == 0 and sum(groups.values(), Fraction(0)) == rep.t2,
             lambda: f"T2 quotient grouping fails at n={n}",
         )
         # n nu_k + xi_k windows have q_j > k, for k = 1..n; all n have q_j > 0

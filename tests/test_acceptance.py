@@ -211,14 +211,14 @@ def test_verify_documented_invocations(suites):
 
 
 def test_suite_verdict_fails_on_an_injected_identity_fault(monkeypatch):
-    real = sums.remainder_parts
+    real = sums.sum_report
 
     def t12_off_by_one(n):
-        parts = real(n)
-        return parts._replace(t12=parts.t12 + 1) if n == 17 else parts
+        rep = real(n)
+        return rep._replace(t12=rep.t12 + 1) if n == 17 else rep
 
     # only the suite sees the fault
-    fake = types.SimpleNamespace(**{**vars(sums), "remainder_parts": t12_off_by_one})
+    fake = types.SimpleNamespace(**{**vars(sums), "sum_report": t12_off_by_one})
     monkeypatch.setattr(verify, "sums", fake)
     res = verify.check_identities(30)
     assert {name: t.failed for name, t in res.checks.items() if t.failed} == {"T1 = T11 + T12": 1}

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -21,6 +22,24 @@ def test_package_exports_resolve():
     assert mindenom.__all__ == sorted(set(mindenom.__all__))
     for name in mindenom.__all__:
         assert hasattr(mindenom, name), name
+
+
+def test_readme_library_example():
+    # the README's Library block runs, and each line with a comment gives the
+    # values it states: "expr  # a == b" means expr == a and expr == b
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope, values = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, scope)
+            continue
+        got = eval(code, scope)
+        for value in comment.split("=="):
+            assert got == eval(value, scope), line
+        values.append(got)
+    assert values == [5, 10, Fraction(29, 12), Fraction(1, 3), Fraction(-1, 6)]
 
 
 def test_compute_small(capsys):
@@ -130,12 +149,13 @@ def test_sweep_linear_matches_library(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 13
+    series = sums.window_integral_series(12)
     for line in lines[1:]:
         n_s, s_s, ratio_s, integral_s, resid_s = line.split(",")
         n, s = int(n_s), int(s_s)
         assert s == sums.denominator_sum(n)
         assert float(ratio_s) == pytest.approx(s / n**1.5, rel=1e-11)
-        assert float(integral_s) == pytest.approx(float(sums.window_integral(n)), rel=1e-11)
+        assert float(integral_s) == pytest.approx(float(series[n]), rel=1e-11)
 
 
 def test_sweep_rows_api():
@@ -146,10 +166,14 @@ def test_sweep_rows_api():
     assert all(row.integral > 0 for row in big)
     with pytest.raises(ValueError):
         cli.sweep_rows(5, 2)
-    # a step below 1 would never reach stop
+    # a step below 1 would never reach stop; a factor <= 1 would give the
+    # linear grid, and nan or inf no grid at all
     for step in (0, -1):
         with pytest.raises(ValueError, match="step"):
             cli.sweep_rows(1, 10, step=step)
+    for factor in (0.5, 1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="factor"):
+            cli.sweep_rows(1, 10, factor=factor)
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):
@@ -200,7 +224,7 @@ def test_sweep_rejects_bad_range(capsys):
 def test_sweep_rejects_non_finite_factor(capsys, factor):
     code, _, err = run_cli(capsys, "sweep", "--from", "2", "--to", "9", "--factor", factor)
     assert code == 2
-    assert "--factor" in err
+    assert err.startswith("error: factor must be")
 
 
 def test_sweep_factor_overflowing_float_prints_first_row(capsys):
@@ -250,7 +274,7 @@ def test_compute_over_pair_limit_exits_2(capsys, monkeypatch):
 def test_verify_rejects_max_n_below_one(capsys, max_n):
     code, out, err = run_cli(capsys, "verify", "--suite", "variants", "--max-n", max_n)
     assert code == 2
-    assert "--max-n" in err and "OK" not in out
+    assert err.startswith("error: max_n must be") and "OK" not in out
     with pytest.raises(ValueError):
         verify.run_suite("variants", int(max_n))
 

@@ -155,12 +155,10 @@ ENTRY_POINTS = {
         minden.half_grid_blocks,
         minden.grid_denominators,
         sums.sum_report,  # the grid limit is checked before the pair limit
-        sums.remainder,
         lambda n: cli.sweep_rows(1, n),
     ],
     ("PAIRS_MAX_N", sums.PAIRS_MAX_N): [
-        sums.window_integral, sums.window_integral_series, sums.remainder_parts,
-        sums.t11_leftover_sum, sums.t2_quotient_groups, sums._pairs,
+        sums.window_integral_series, sums.t11_leftover_sum, sums.t2_quotient_groups, sums._pairs,
     ],
     ("PER_K_MAX_N", sums.PER_K_MAX_N): [sums.per_k_tables],
     (None, None): [sums.variant_gap, lambda n: minden.min_denominator_grid(n, 1)],
@@ -192,11 +190,11 @@ def test_int64_size_limits(monkeypatch):
         for call in calls:
             with pytest.raises(OverflowError, match=message):
                 call(limit + 1)
-    # at the pair limit the exact report and R get through to the grid descent
+    # at the pair limit the exact report gets through to the grid descent
     grid, pairs = minden.GRID_MAX_N, sums.PAIRS_MAX_N
     for call, n in [(sums.denominator_sum, grid), (sums.window_integral_floats, [grid]),
                     (sums._pairs, pairs), (sums.per_k_tables, sums.PER_K_MAX_N),
-                    (sums.sum_report, pairs), (sums.remainder, pairs)]:
+                    (sums.sum_report, pairs)]:
         with pytest.raises(Reached):
             call(n)
 
@@ -246,7 +244,7 @@ def test_sawtooth_gap_sum_examples():
     assert _tables(1)[2] == [0, 0]
     sigma = _tables(4)[2]
     assert sigma == [0, 0, 0, Fraction(-1, 6), 0]
-    assert sum(sigma, Fraction(0)) == -sums.remainder(4) / 2 == Fraction(-1, 6)
+    assert sum(sigma, Fraction(0)) == -sums.sum_report(4).r / 2 == Fraction(-1, 6)
     assert _tables(3)[2][3] == 0
 
 
@@ -262,7 +260,7 @@ def test_frac_jump_sum_examples():
     assert _tables(1)[1] == [0, 0]
     xi = _tables(4)[1]
     assert xi == [0, 0, 0, Fraction(1, 3), 0]
-    assert sum(xi, Fraction(0)) == sums.remainder(4) == Fraction(1, 3)
+    assert sum(xi, Fraction(0)) == sums.sum_report(4).r == Fraction(1, 3)
 
 
 def test_frac_jump_sum_matches_brute_and_sawtooth():
@@ -286,26 +284,23 @@ def test_per_k_tables_match_single_queries():
 
 
 def test_window_integral_examples():
-    assert sums.window_integral(1) == 1
-    assert sums.window_integral(2) == Fraction(3, 2)
-    assert sums.window_integral(4) == Fraction(29, 12)
+    assert sums.window_integral_series(4)[1:] == [1, Fraction(3, 2), Fraction(2), Fraction(29, 12)]
 
 
 def test_window_integral_routes_agree():
     series = sums.window_integral_series(120)
     floats = sums.window_integral_floats(range(1, 121))
     for n in range(1, 121):
-        direct = sums.window_integral(n)
-        by_measure = sum(sums.per_k_tables(n)[0], Fraction(0))
-        assert direct == by_measure == series[n]
-        assert math.isclose(floats[n - 1], float(direct), rel_tol=1e-12)
+        by_measure = sum(_tables(n)[0], Fraction(0))
+        assert sums.sum_report(n).integral == by_measure == series[n]
+        assert math.isclose(floats[n - 1], float(series[n]), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1999, 2000, 2001])
 def test_window_integral_float_at_budget_switch(n):
     # sweep switches from the exact to the float integral at the default
     # budget 2000; about 3e-16 relative error was measured there
-    exact = float(sums.window_integral(n))
+    exact = float(sums.window_integral_series(n)[n])
     assert abs(sums.window_integral_floats([n])[0] - exact) <= 1e-13 * exact
 
 
@@ -359,17 +354,11 @@ def test_first_hit_matches_order_by_order_rule():
             assert hits == list(range(ki, ri + si)), (n, ri, si)
 
 
-def test_remainder_examples():
-    assert sums.remainder(1) == 0
-    assert sums.remainder(2) == 0
-    assert sums.remainder(4) == Fraction(1, 3)
-
-
 def test_remainder_routes_agree():
     # R by definition against the sums of the per-order jumps and sawtooth terms
     for n in range(1, 80):
-        _, xi, sigma = sums.per_k_tables(n)
-        assert sums.remainder(n) == sum(xi, Fraction(0)) == -2 * sum(sigma, Fraction(0))
+        _, xi, sigma = _tables(n)
+        assert sums.sum_report(n).r == sum(xi, Fraction(0)) == -2 * sum(sigma, Fraction(0))
 
 
 def test_sawtooth_last_interior_index_never_fires():
@@ -383,19 +372,12 @@ def test_sawtooth_last_interior_index_never_fires():
             assert not seq[i + 1] - seq[i] < Fraction(1, n)
 
 
-def test_remainder_parts_examples():
-    parts1 = sums.remainder_parts(1)
-    assert parts1 == (0, 0, 0, 0, 0)
-    assert sums.remainder_parts(4).t == Fraction(-1, 6)
-    assert sums.remainder_parts(2).t == 0
-
-
 def test_remainder_part_identities():
     for n in range(1, 80):
-        parts = sums.remainder_parts(n)
-        assert sums.remainder(n) == -2 * parts.t
-        assert parts.t == parts.t1 + parts.t2
-        assert parts.t1 == parts.t11 + parts.t12
+        rep = sums.sum_report(n)
+        assert rep.r == -2 * rep.t
+        assert rep.t == rep.t1 + rep.t2
+        assert rep.t1 == rep.t11 + rep.t12
 
 
 def test_t11_leftover_sum_is_zero():
@@ -407,7 +389,7 @@ def test_t2_quotient_groups():
     for n, want in enumerate(oracles.t2_groups_brute(79)[1:], start=1):
         groups = sums.t2_quotient_groups(n)
         assert groups == want and list(groups) == sorted(groups) and groups[2] == 0
-        assert sum(groups.values(), Fraction(0)) == sums.remainder_parts(n).t2
+        assert sum(groups.values(), Fraction(0)) == sums.sum_report(n).t2
 
 
 def test_pair_inverses():
@@ -449,25 +431,22 @@ def test_exact_report_builds_pairs_once(monkeypatch):
     assert names.count("_descend_block") == 1
     assert finisher_rows() == [5]  # W's row and the four parts over one tree
     calls.clear()
-    sums.remainder_parts(300)
-    assert finisher_rows() == [4]
-    calls.clear()
-    sums.window_integral(300)
     sums.window_integral_series(300)
     assert "_pairs" not in [name for name, _ in calls]
 
 
 def test_remainder_parts_memory_is_bounded():
-    # _pairs holds each unordered pair once and the four weight rows are
-    # built in place in one array; the unit is still an int64 array over the
-    # ordered pairs, the mirrors and (1, 1) included, and 8 of them leave room
-    # over the 6.6 measured at this n
+    # the parts of sum_report: _pairs holds each unordered pair once and the
+    # four weight rows are built in place in one array; the unit is still an
+    # int64 array over the ordered pairs, the mirrors and (1, 1) included, and
+    # 8 of them leave room over the 6.6 measured at this n (the descent
+    # streams in O(CHUNK) memory)
     n = 10**5
     pairs = 2 * sums._pairs(n)[0].size + 1
-    sums.remainder_parts(7)  # first-call set-up outside the trace
+    sums.sum_report(7)  # first-call set-up outside the trace
     tracemalloc.start()
     try:
-        sums.remainder_parts(n)
+        sums.sum_report(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -655,7 +634,10 @@ def test_sum_report_consistency():
     assert rep.s_closed == 6 and rep.s_open == 16 and rep.s_half_open_left == 10
     assert math.isclose(rep.ratio, 10 / 8)
     rep1 = sums.sum_report(1)
-    assert rep1.r == 0 and rep1.r_over_bound is None
+    # W, R, T and its four parts
+    assert rep1[5:12] == (1, 0, 0, 0, 0, 0, 0) and rep1.r_over_bound is None
+    rep2 = sums.sum_report(2)
+    assert rep2.r == rep2.t == 0 and rep2.integral == Fraction(3, 2)
     for n in (2, 7, 30):
         rep = sums.sum_report(n)
         assert rep.r == rep.s - n * rep.integral
@@ -674,4 +656,6 @@ def test_rejects_out_of_range():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60))
 def test_remainder_identity_property(n):
-    assert sums.remainder(n) == -2 * sums.remainder_parts(n).t
+    # R by definition, from S and the incremental W, against the report's T
+    r = sums.denominator_sum(n) - n * sums.window_integral_series(n)[n]
+    assert r == -2 * sums.sum_report(n).t
