@@ -93,7 +93,10 @@ def sweep_rows(
 ) -> list[SweepRow]:
     """Rows of the sweep table, exact integral up to budget, float beyond.
 
-    The float integrals come first, then every S from one
+    The integrals come first: the exact W of the rows n <= budget from
+    sums.window_integrals, formed at those rows only and correctly rounded
+    by float(), and the float integrals of the others from one
+    sums.window_integral_floats pass.  Then every S comes from one
     sums.denominator_sums call over the grid: with an integer --factor
     each row from the factor up divides the next larger one and is
     coarsened from its half grid, and the other rows (--step, a fractional
@@ -110,13 +113,10 @@ def sweep_rows(
     check_grid_size(stop)
     grid = list(_grid(start, stop, step, factor))
     exact_ns = [n for n in grid if n <= budget]
-    # the exact series up to the last exact row, and every float integral of
-    # the sweep from one pass over the blocks of its largest N
-    series = sums.window_integral_series(exact_ns[-1]) if exact_ns else None
-    floats = iter(sums.window_integral_floats(grid[len(exact_ns) :]))
+    integrals = [float(w) for w in sums.window_integrals(exact_ns)]
+    integrals += sums.window_integral_floats(grid[len(exact_ns) :])
     rows = []
-    for n, s in zip(grid, sums.denominator_sums(grid, variant)):
-        integral = float(series[n]) if n <= budget else next(floats)
+    for n, s, integral in zip(grid, sums.denominator_sums(grid, variant), integrals):
         rows.append(
             SweepRow(
                 n=n,

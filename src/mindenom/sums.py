@@ -16,8 +16,11 @@ The quantities provided, all exact rationals unless stated otherwise:
   between the sum and its integral smoothing, and its sawtooth parts.
   Identity: R = -2 T where T is a sum of sawtooth values at Farey points,
   split as T = T1 + T2 and T1 = T11 + T12.
-* window_integral_series(max_n): W(n) exactly for every n <= max_n, and
-  window_integral_floats(ns) its float approximations for large n.
+* W(n) by two routes over many n, each from one pass over the pair blocks
+  of the largest n: window_integrals(ns) exactly, formed only at the n of ns
+  (window_integral_series(max_n) is its case of every n <= max_n), and
+  window_integral_floats(ns) its float approximations for large n, in
+  float64 one block at a time.  sum_report(n) gives W of one n with the rest.
 * per_k_tables(n): for every order k = 0..n the measure nu_k of the windows
   that clear order k, the fractional jump xi_k and the sawtooth term sigma_k;
   n nu_k + xi_k is the number of windows with q_j > k, xi_k = -2 sigma_k,
@@ -80,8 +83,8 @@ is coarsened from that row's half grid, any other row descends.
 Every pair sum takes its pairs from the block kernel farey.coprime_blocks.
 W(n) = 1 + P - Q/n, where P and Q sum 1/max(r, s) and min(r, s) over the
 pairs.  The W routes over many n read the blocks alone
-(window_integral_series per product r s in _min_sums, window_integral_floats
-per block); the sawtooth sums per_k_tables, t11_leftover_sum and
+(window_integrals per product r s in _min_sums, window_integral_floats per
+block); the sawtooth sums per_k_tables, t11_leftover_sum and
 t2_quotient_groups read _pairs, the pairs r < s with the inverses of both
 orientations, and sum_report takes P with T1, T11, T12 and T2 from one
 _pairs pass (_pair_rows).  A pair (r, s) gives the T1, T11 and T12 terms
@@ -453,19 +456,37 @@ def _integral(n: int, p: Fraction, q: int) -> Fraction:
     return 1 + p - Fraction(q, n)
 
 
-def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
-    """W(n) exactly for every n = 1..max_n in one incremental pass (index 0 is None).
+def window_integrals(ns: Sequence[int]) -> list[Fraction]:
+    """W(n) exactly for each n of ns, in order, from one incremental pass up to max(ns).
 
-    W(n) = 1 + P(n) - Q(n)/n as in the module docstring; step n adds the
-    pairs with r s = n, whose min(r, s) sum to c[n], as c[n]/n to P and c[n] to Q.
+    W(n) = 1 + P(n) - Q(n)/n as in the module docstring; step m adds the
+    pairs with r s = m, whose min(r, s) sum to c[m], as c[m]/m to P and c[m]
+    to Q.  W is formed only at the distinct n of ns, and a repeated n gets
+    the same value at each of its places.  Every n is checked against
+    PAIRS_MAX_N before any block is built.
     """
-    out: list[Optional[Fraction]] = [None]
+    ns = list(ns)
+    for n in ns:
+        check_grid_size(n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
+    if not ns:
+        return []
+    found = dict.fromkeys(ns)
     p_acc, q_acc = Fraction(0), 0
-    for n, c_n in enumerate(_min_sums(max_n).tolist()[1:], start=1):
-        p_acc += Fraction(c_n, n)
-        q_acc += c_n
-        out.append(_integral(n, p_acc, q_acc))
-    return out
+    for m, c_m in enumerate(_min_sums(max(ns)).tolist()[1:], start=1):
+        p_acc += Fraction(c_m, m)
+        q_acc += c_m
+        if m in found:
+            found[m] = _integral(m, p_acc, q_acc)
+    return [found[n] for n in ns]
+
+
+def window_integral_series(max_n: int) -> list[Optional[Fraction]]:
+    """W(n) exactly for every n = 1..max_n (index 0 is None): window_integrals over 1..max_n.
+
+    max_n is checked against PAIRS_MAX_N before the range is listed.
+    """
+    check_grid_size(max_n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
+    return [None, *window_integrals(range(1, max_n + 1))]
 
 
 def window_integral_floats(ns: Sequence[int]) -> list[float]:
@@ -478,22 +499,35 @@ def window_integral_floats(ns: Sequence[int]) -> list[float]:
     prefix of the larger block's, the same values in the same order, and a
     contiguous float64 sum depends only on those values and the length.  So
     every total is bit for bit what a pass over the blocks of n alone gives.
-    Each block is dropped before the next is built: the peak is the a = 1
-    block of max(ns), 8 bytes each for the int64 L and for its reciprocals.
-    Every n is checked against minden.GRID_MAX_N before any block is built.
+    Each block's prefix lengths are taken first, and a block is dropped
+    before the next is built.  The a = 1 block, L = 2..max(ns), is dropped
+    before its reciprocals are made from a float64 arange (exact below 2^53,
+    and 1/x is correctly rounded either way); every other block gives its
+    reciprocals in one np.divide.  So no int64 L array is held beside the a = 1
+    reciprocals, and the peak is that float64 block, 8 bytes per L: 8.0 MiB
+    traced at max(ns) = 2^20.  Every n is checked against minden.GRID_MAX_N
+    before any block is built.
     """
     ns = list(ns)
     for n in ns:
         check_grid_size(n)
     totals = [2.0 - 1.0 / n for n in ns]  # k = 0 term plus the (1, 1) pair
+    tops = np.array(ns, dtype=np.int64)
     for a, big in coprime_blocks(max(ns, default=0)):
-        recip = big.astype(np.float64)
-        np.reciprocal(recip, out=recip)
-        for i, n in enumerate(ns):
-            if a * a <= n:
-                m = int(big.searchsorted(n // a, "right"))
+        lengths = big.searchsorted(tops // a, "right").tolist()
+        if a == 1:
+            # big is 2..max(ns), below 2^53: its float64 copy is exact
+            size = big.size
+            del big
+            recip = np.arange(2.0, size + 2.0)
+            np.divide(1.0, recip, out=recip)
+        else:
+            recip = np.divide(1.0, big)
+            del big
+        for i, (n, m) in enumerate(zip(ns, lengths)):
+            if m:
                 totals[i] += 2.0 * (float(recip[:m].sum()) - a * m / n)
-        del big, recip
+        del recip
     return totals
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -198,6 +199,20 @@ def test_sweep_matches_golden_csv(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_sweep_rows_memory_is_bounded():
+    # the float integrals hold one float64 block of 2**20 reciprocals (8 MiB)
+    # and no int64 block beside it; the exact rows form W at those rows only
+    cli.sweep_rows(1, 64, factor=2.0)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        rows = cli.sweep_rows(1, 2**20, factor=2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[-1].s == 1740040811  # the N = 2**20 row of perfbench/golden_sweep.csv
+    assert peak <= 9 * 2**20
 
 
 def test_sweep_unwritable_path(capsys):

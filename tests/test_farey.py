@@ -1,4 +1,6 @@
+import collections
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +178,21 @@ def test_coprime_blocks_match_gcd_filter(ns):
         for (a, big), (_, ref) in zip(got, want):
             assert big.dtype == ref.dtype == np.int64
             assert np.array_equal(big, ref), (n, a)
+
+
+def test_coprime_blocks_memory_is_bounded():
+    # after the 8 MiB a = 1 block: the a = 2 block (2 MiB), the unit table and
+    # its units, and block 3 with its row offsets; each block is dropped by
+    # the consumer before the next is built
+    blocks = farey.coprime_blocks(2**20)
+    next(blocks)
+    tracemalloc.start()
+    try:
+        collections.deque(blocks, maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_unit_inverses(monkeypatch):

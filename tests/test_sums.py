@@ -159,6 +159,7 @@ ENTRY_POINTS = {
     ],
     ("PAIRS_MAX_N", sums.PAIRS_MAX_N): [
         sums.window_integral_series, sums.t11_leftover_sum, sums.t2_quotient_groups, sums._pairs,
+        lambda n: sums.window_integrals([8, n]),
     ],
     ("PER_K_MAX_N", sums.PER_K_MAX_N): [sums.per_k_tables],
     (None, None): [sums.variant_gap, lambda n: minden.min_denominator_grid(n, 1)],
@@ -287,6 +288,14 @@ def test_window_integral_examples():
     assert sums.window_integral_series(4)[1:] == [1, Fraction(3, 2), Fraction(2), Fraction(29, 12)]
 
 
+def test_window_integrals_any_order():
+    # unsorted and repeated n: each place gets W of its own n, as in the series
+    series = sums.window_integral_series(60)
+    ns = [60, 3, 17, 3, 1, 60, 2]
+    assert sums.window_integrals(ns) == [series[n] for n in ns]
+    assert sums.window_integrals([]) == []
+
+
 def test_window_integral_routes_agree():
     series = sums.window_integral_series(120)
     floats = sums.window_integral_floats(range(1, 121))
@@ -325,9 +334,8 @@ def test_window_integral_floats_edges():
 
 
 def test_window_integral_floats_memory_is_bounded():
-    # one block of 2**20 at a time, its reciprocals taken in place: the a = 1
-    # block is 8 MiB of int64 plus 8 MiB of float64 (24 MiB with a separate
-    # reciprocal array, as the per-n route had)
+    # one block of 2**20 at a time, and the a = 1 block's int64 L dropped
+    # before its 8 MiB of float64 reciprocals are made (16 MiB with both)
     ns = [2**k for k in range(11, 21)]
     sums.window_integral_floats([64])  # first-call set-up outside the trace
     tracemalloc.start()
@@ -336,7 +344,7 @@ def test_window_integral_floats_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    assert peak <= 9 * 2**20
 
 
 def test_first_hit_matches_order_by_order_rule():
@@ -435,7 +443,7 @@ def test_exact_report_builds_pairs_once(monkeypatch):
     assert "_pairs" not in [name for name, _ in calls]
 
 
-def test_remainder_parts_memory_is_bounded():
+def test_sum_report_memory_is_bounded():
     # the parts of sum_report: _pairs holds each unordered pair once and the
     # four weight rows are built in place in one array; the unit is still an
     # int64 array over the ordered pairs, the mirrors and (1, 1) included, and
