@@ -17,10 +17,10 @@ The quantities provided, all exact rationals unless stated otherwise:
   Identity: R = -2 T where T is a sum of sawtooth values at Farey points,
   split as T = T1 + T2 and T1 = T11 + T12.
 * W(n) by two routes over many n, each from one pass over the pair blocks
-  of the largest n: window_integrals(ns) exactly, formed only at the n of ns
-  (window_integral_series(max_n) is its case of every n <= max_n), and
-  window_integral_floats(ns) its float approximations for large n, in
-  float64 one block at a time.  sum_report(n) gives W of one n with the rest.
+  of the largest n: window_integrals(ns) exactly, one merge per segment
+  between the sorted n of ns (window_integral_series(max_n) is its case of
+  every n <= max_n), and window_integral_floats(ns) its float approximations
+  for large n, one float64 block at a time.  sum_report(n) gives W of one n.
 * per_k_tables(n): for every order k = 0..n the measure nu_k of the windows
   that clear order k, the fractional jump xi_k and the sawtooth term sigma_k;
   n nu_k + xi_k is the number of windows with q_j > k, xi_k = -2 sigma_k,
@@ -99,9 +99,10 @@ the rough part of d (1, or the one prime factor of d above sqrt(n)), so
 neighbours share their large prime; its first levels run in int64, each only
 while the guard dmax^2 <= INT64_MAX and 2 cmax dmax <= INT64_MAX holds (dmax
 the largest denominator, cmax the largest |numerator|), and Python ints
-finish it.  The bucketed sums of per_k_tables and t2_quotient_groups
-(_fraction_sums) add the numerators per (bucket, denominator) and merge each
-bucket alone in Python ints.  S(n) adds up the int64 blocks of
+finish it.  The bucketed sums of per_k_tables, t2_quotient_groups and
+window_integrals (W's terms c[m]/m by segment) in _fraction_sums add the
+numerators per (bucket, denominator) and merge each bucket alone in Python
+ints.  S(n) adds up the int64 blocks of
 minden.half_grid_blocks.  A half grid is held only when the next smaller
 row of denominator_sums coarsens from it: one preallocated array of n // 2
 entries, int32 when 2n <= INT32_MAX as in the descent (2 bytes per window
@@ -283,7 +284,10 @@ def _fraction_sums(
     """Exact sums of num[i] / den[i] per bucket: out[b] sums the i with bucket[i] == b, b < size.
 
     The int64 numerators are first added per (bucket, denominator), zero
-    terms are dropped, and each bucket goes to _pairwise_sums alone.
+    terms are dropped, and each bucket goes to _pairwise_sums alone.  Each
+    caller bounds the int64 keys bucket (max den + 1) + den.  window_integrals'
+    keys (den <= max, bucket < max) reach max^2 + max - 1, which fits int64 for
+    max <= PAIRS_MAX_N: PAIRS_MAX_N (PAIRS_MAX_N + 1) <= INT64_MAX.
     """
     width = int(den.max(initial=0)) + 1
     keys, where = np.unique(bucket * width + den, return_inverse=True)
@@ -457,12 +461,13 @@ def _integral(n: int, p: Fraction, q: int) -> Fraction:
 
 
 def window_integrals(ns: Sequence[int]) -> list[Fraction]:
-    """W(n) exactly for each n of ns, in order, from one incremental pass up to max(ns).
+    """W(n) exactly for each n of ns, in order, from one pass over the blocks of max(ns).
 
-    W(n) = 1 + P(n) - Q(n)/n as in the module docstring; step m adds the
-    pairs with r s = m, whose min(r, s) sum to c[m], as c[m]/m to P and c[m]
-    to Q.  W is formed only at the distinct n of ns, and a repeated n gets
-    the same value at each of its places.  Every n is checked against
+    W(n) = 1 + P(n) - Q(n)/n, with P(n) and Q(n) the sums of c[m]/m and c[m]
+    over m <= n, c = _min_sums(max(ns)).  One _fraction_sums call sums the
+    terms of P per segment prev < m <= n of the sorted distinct n, P(n) is
+    the running total of the segments and Q(n) a prefix sum of c.  A
+    repeated n gets its value at each place.  Every n is checked against
     PAIRS_MAX_N before any block is built.
     """
     ns = list(ns)
@@ -470,13 +475,12 @@ def window_integrals(ns: Sequence[int]) -> list[Fraction]:
         check_grid_size(n, PAIRS_MAX_N, "PAIRS_MAX_N", "the pair sums")
     if not ns:
         return []
-    found = dict.fromkeys(ns)
-    p_acc, q_acc = Fraction(0), 0
-    for m, c_m in enumerate(_min_sums(max(ns)).tolist()[1:], start=1):
-        p_acc += Fraction(c_m, m)
-        q_acc += c_m
-        if m in found:
-            found[m] = _integral(m, p_acc, q_acc)
+    rows = sorted(set(ns))
+    c = _min_sums(rows[-1])
+    m = np.arange(1, c.size)
+    segments = _fraction_sums(m, c[1:], np.searchsorted(rows, m), len(rows))
+    q = np.cumsum(c)[rows].tolist()
+    found = {n: _integral(n, p, q_n) for n, p, q_n in zip(rows, accumulate(segments), q)}
     return [found[n] for n in ns]
 
 

@@ -354,10 +354,11 @@ def check_variants(max_n: int = 500) -> SuiteResult:
         )
         tau_n = expsums.divisor_count(n)
         res.check("gap <= n tau(n)", gap <= n * tau_n, lambda: f"gap {gap} > n tau(n) at n={n}")
+        unitary = [u for u in range(1, n + 1) if n % u == 0 and math.gcd(u, n // u) == 1]
+        corner = sum(min(u, n // u) for u in unitary)  # c(n), by brute force
         res.check(
-            "lower gap",
-            reflected["half-open-right"] - reflected["closed"] == s - s_closed,
-            lambda: f"lower gap inconsistent at n={n}",
+            "closed identity", s_closed == s_open - 2 * gap + corner,
+            lambda: f"closed sum {s_closed} != S_open - 2 G + c at n={n}",
         )
     divisors = [n for n in range(1, max_n + 1) if max_n % n == 0]
     for variant in minden.VARIANT_FLAGS:

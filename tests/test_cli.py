@@ -362,7 +362,7 @@ def test_verify_stats_goes_to_stderr(capsys):
     assert out == "variants: 204 passed, 0 failed\nOK\n"
     head, *checks = err.splitlines()
     assert re.fullmatch(r"variants: 204 checks in \d+\.\d\d s", head)
-    names = ["mirrored sum", "variant order", "open gap", "gap <= n tau(n)", "lower gap"]
+    names = ["mirrored sum", "variant order", "open gap", "gap <= n tau(n)", "closed identity"]
     assert checks == ["  reflected sum: 80 passed, 0 failed"] + [
         f"  {name}: 20 passed, 0 failed" for name in names
     ] + ["  chained sum: 24 passed, 0 failed"]  # 4 variants x the 6 divisors of 20

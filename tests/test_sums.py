@@ -172,6 +172,8 @@ def test_int64_size_limits(monkeypatch):
     assert sums.PAIRS_MAX_N**2 <= int64_max < (sums.PAIRS_MAX_N + 1) ** 2
     keys = lambda n: (3 * n + 5) * (2 * n + 1) + 2 * n  # per_k_tables bucket keys
     assert keys(sums.PER_K_MAX_N) <= int64_max < keys(sums.PER_K_MAX_N + 1)
+    # window_integrals' bucket keys reach max^2 + max - 1
+    assert sums.PAIRS_MAX_N * (sums.PAIRS_MAX_N + 1) <= int64_max
 
     class Reached(Exception):
         pass
@@ -204,18 +206,6 @@ def test_int64_size_limits(monkeypatch):
 def _tables(n):
     """per_k_tables(n), computed once per n across the tests below."""
     return sums.per_k_tables(n)
-
-
-def test_count_above_both_methods_match_brute():
-    # the direct count over the grid blocks and the window count n nu_k + xi_k
-    # of the tables
-    for n in range(1, 40):
-        nu, xi, _ = _tables(n)
-        for k in range(n + 1):
-            expect = oracles.theta_brute(n, k)
-            direct = sum(int(np.count_nonzero(b > k)) for b in minden.grid_blocks(n))
-            assert direct == expect, (n, k)
-            assert n * nu[k] + xi[k] == expect, (n, k)
 
 
 def test_denominator_sum_via_counts():
@@ -274,14 +264,17 @@ def test_frac_jump_sum_matches_brute_and_sawtooth():
 
 
 def test_per_k_tables_match_single_queries():
-    # the window count n nu_k + xi_k of the tables against the single-k
-    # count of windows with q_j > k by the definitional scan
+    # the window count n nu_k + xi_k of the tables and the count over the grid
+    # blocks against the single-k count of windows with q_j > k by definition
     for n in range(1, 60):
         nu, xi, sigma = _tables(n)
         assert len(nu) == len(xi) == len(sigma) == n + 1
         assert nu[0] == 1 and xi[0] == 0 and sigma[0] == 0
+        q = np.concatenate(list(minden.grid_blocks(n)))
         for k in range(n + 1):
-            assert n * nu[k] + xi[k] == oracles.theta_brute(n, k), (n, k)
+            expect = oracles.theta_brute(n, k)
+            assert int(np.count_nonzero(q > k)) == expect, (n, k)
+            assert n * nu[k] + xi[k] == expect, (n, k)
 
 
 def test_window_integral_examples():
@@ -294,6 +287,12 @@ def test_window_integrals_any_order():
     ns = [60, 3, 17, 3, 1, 60, 2]
     assert sums.window_integrals(ns) == [series[n] for n in ns]
     assert sums.window_integrals([]) == []
+
+
+def test_window_integrals_at_scale():
+    # the many-n route above n = 2000, unsorted and repeated, against sum_report
+    ns = [10**5, 2001, 10**4, 2001]
+    assert sums.window_integrals(ns) == [sums.sum_report(n).integral for n in ns]
 
 
 def test_window_integral_routes_agree():
@@ -378,14 +377,6 @@ def test_sawtooth_last_interior_index_never_fires():
         assert seq[i + 1] - seq[i] == Fraction(1, k)
         for n in range(k, 2 * k + 1):
             assert not seq[i + 1] - seq[i] < Fraction(1, n)
-
-
-def test_remainder_part_identities():
-    for n in range(1, 80):
-        rep = sums.sum_report(n)
-        assert rep.r == -2 * rep.t
-        assert rep.t == rep.t1 + rep.t2
-        assert rep.t1 == rep.t11 + rep.t12
 
 
 def test_t11_leftover_sum_is_zero():
@@ -630,10 +621,19 @@ def test_chen_haynes_residual():
 
 
 def test_sum_report_consistency():
-    # sum_report's four variant sums (s, s_closed, s_half_open_left, s_open)
+    # the four variant sums (s, s_closed, s_half_open_left, s_open), R by its
+    # definition and from the many-n W, R = -2T, T1 + T2, T11 + T12, r_over_bound
     variants = ("half-open-right", "closed", "half-open-left", "open")
-    for n in [*range(1, 201), 2000]:
-        assert sums.sum_report(n)[1:5] == tuple(sums.denominator_sum(n, v) for v in variants), n
+    ns = [*range(1, 201), 2000]
+    for n, w in zip(ns, sums.window_integrals(ns)):
+        rep = sums.sum_report(n)
+        want = tuple(sums.denominator_sum(n, v) for v in variants)
+        assert rep[1:5] == want, n
+        assert rep.r == rep.s - n * rep.integral == want[0] - n * w == -2 * rep.t, n
+        assert rep.t == rep.t1 + rep.t2 and rep.t1 == rep.t11 + rep.t12
+        if n > 1:
+            bound = n ** (4 / 3) * math.log(n) ** 2
+            assert rep.r_over_bound == pytest.approx(abs(float(rep.r)) / bound)
     rep = sums.sum_report(4)
     assert rep.s == 10
     assert rep.integral == Fraction(29, 12)
@@ -646,24 +646,9 @@ def test_sum_report_consistency():
     assert rep1[5:12] == (1, 0, 0, 0, 0, 0, 0) and rep1.r_over_bound is None
     rep2 = sums.sum_report(2)
     assert rep2.r == rep2.t == 0 and rep2.integral == Fraction(3, 2)
-    for n in (2, 7, 30):
-        rep = sums.sum_report(n)
-        assert rep.r == rep.s - n * rep.integral
-        assert rep.t == -rep.r / 2
-        assert rep.r_over_bound == pytest.approx(
-            abs(float(rep.r)) / (n ** (4 / 3) * math.log(n) ** 2)
-        )
 
 
 def test_rejects_out_of_range():
     for call in sum(ENTRY_POINTS.values(), []):
         with pytest.raises(ValueError):
             call(0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 60))
-def test_remainder_identity_property(n):
-    # R by definition, from S and the incremental W, against the report's T
-    r = sums.denominator_sum(n) - n * sums.window_integral_series(n)[n]
-    assert r == -2 * sums.sum_report(n).t

@@ -206,8 +206,7 @@ def test_check_variants_reads_the_grid_not_the_reflection(monkeypatch):
     # a reflected path that drops the last window of every half grid fails
     # "reflected sum" for all four variants at every n >= 2 (n = 1 has only
     # its middle window), while the checks on the per-window grid sums alone
-    # pass; "lower gap" compares denominator_sum(n) - denominator_sum(n,
-    # "closed"), a reflected difference, with them and is left out here.
+    # pass, "closed identity" with them: it adds only variant_gap(n) and c(n).
     # "chained sum" descends 10 and 2 and fails there; it coarsens 5 from
     # the first four windows of 10, which the patch keeps, and 1 has no
     # window left of its middle
@@ -222,5 +221,15 @@ def test_check_variants_reads_the_grid_not_the_reflection(monkeypatch):
     assert res.checks["chained sum"] == verify.Tally(
         8, 8, "denominator_sums(divisors of 10, 'half-open-right') gives S(2) = -3 != grid sum 3"
     )
-    for name in ("mirrored sum", "variant order", "open gap", "gap <= n tau(n)"):
+    for name in ("mirrored sum", "variant order", "open gap", "gap <= n tau(n)", "closed identity"):
         assert res.checks[name] == verify.Tally(10, 0, None)
+
+
+def test_check_variants_sees_a_closed_grid_solved_half_open(monkeypatch):
+    # closed windows solved with the half-open-left flags pass every other
+    # check; only n = 1, where both sums are 1, passes the closed identity
+    monkeypatch.setitem(minden.VARIANT_FLAGS, "closed", (True, False))
+    res = verify.check_variants(max_n=10)
+    assert res.failed == 9
+    want = verify.Tally(1, 9, "closed sum 3 != S_open - 2 G + c at n=2")
+    assert res.checks["closed identity"] == want
